@@ -7,10 +7,14 @@ GO ?= go
 all: build test
 
 # The single verification entrypoint: vet, build, and race-enabled tests.
+# bench/ is its own module that imports internal APIs, so it is vetted
+# and tested separately; otherwise a refactor could break its build with
+# no check failing.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Static analysis: vet always; staticcheck when installed (CI installs it).
 lint:
@@ -31,11 +35,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Fuzz every parser/decoder for a short burst each: the binary cube
-# format, the wikitext infobox parser, the counter-anomaly detector, the
-# streaming JSONL event format, and the epoch store's log and snapshot
-# decoders (crash-recovery surfaces: they parse whatever a torn write
-# left on disk).
+# Fuzz every parser/decoder for a short burst each: the cube codec
+# through the .wcc reader, the wikitext infobox parser, the counter-anomaly
+# detector, the streaming JSONL event format, and the epoch store's log
+# and snapshot decoders (crash-recovery surfaces: they parse whatever a
+# torn write left on disk; the snapshot decoder runs the same cube codec).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/changecube

@@ -17,7 +17,6 @@ import (
 	"github.com/wikistale/wikistale/internal/assocrules"
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/correlation"
-	"github.com/wikistale/wikistale/internal/cubestore"
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/eval"
 	"github.com/wikistale/wikistale/internal/experiments"
@@ -506,67 +505,6 @@ func BenchmarkLiveRetrain(b *testing.B) {
 			b.ReportMetric(float64(reused), "pages-reused")
 			b.ReportMetric(float64(len(dirty)), "dirty-fields")
 		})
-	}
-}
-
-// BenchmarkCubeStoreCommit measures committing a daily segment to the
-// durable store.
-func BenchmarkCubeStoreCommit(b *testing.B) {
-	c := corpus(b)
-	dir := b.TempDir()
-	store, err := cubestore.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cube := store.Cube()
-	e := cube.AddEntityNamed("t", "p")
-	prop := changecube.PropertyID(cube.Properties.Intern("x"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 1000; j++ {
-			store.Append(changecube.Change{
-				Time:     int64(i*1000 + j),
-				Entity:   e,
-				Property: prop,
-				Value:    "v",
-				Kind:     changecube.Update,
-			})
-		}
-		if err := store.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(1000 * 16)
-	_ = c
-}
-
-// BenchmarkCubeStoreOpen measures cold-start replay of a multi-segment
-// store.
-func BenchmarkCubeStoreOpen(b *testing.B) {
-	dir := b.TempDir()
-	store, err := cubestore.Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cube := store.Cube()
-	e := cube.AddEntityNamed("t", "p")
-	prop := changecube.PropertyID(cube.Properties.Intern("x"))
-	for seg := 0; seg < 10; seg++ {
-		for j := 0; j < 2000; j++ {
-			store.Append(changecube.Change{
-				Time: int64(seg*2000 + j), Entity: e, Property: prop,
-				Value: "v", Kind: changecube.Update,
-			})
-		}
-		if err := store.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cubestore.Open(dir); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	staledetect -i corpus.wcc [-asof 2019-09-01] [-window 7] [-stats] [-timing] [-limit 50]
-//	staledetect -store /var/lib/wikistale   # load from a cubestore directory
 package main
 
 import (
@@ -18,7 +17,6 @@ import (
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/core"
-	"github.com/wikistale/wikistale/internal/cubestore"
 	"github.com/wikistale/wikistale/internal/obs/olog"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
@@ -28,7 +26,6 @@ func main() {
 	log.SetPrefix("staledetect: ")
 	var (
 		in     = flag.String("i", "corpus.wcc", "input binary change cube")
-		store  = flag.String("store", "", "load from a cubestore directory instead of -i")
 		asOf   = flag.String("asof", "", "detection date (YYYY-MM-DD); default: end of the data")
 		window = flag.Int("window", 7, "staleness window in days (1, 7, 30 or 365)")
 		stats  = flag.Bool("stats", false, "print filter-funnel and rule statistics")
@@ -44,24 +41,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var cube *changecube.Cube
-	if *store != "" {
-		s, err := cubestore.Open(*store)
-		if err != nil {
-			log.Fatalf("opening store %s: %v", *store, err)
-		}
-		cube = s.Cube()
-	} else {
-		f, err := os.Open(*in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var err2 error
-		cube, err2 = changecube.ReadBinary(f)
-		f.Close()
-		if err2 != nil {
-			log.Fatalf("reading %s: %v", *in, err2)
-		}
+	f, err := os.Open(*in)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cube, err := changecube.ReadBinary(f)
+	f.Close()
+	if err != nil {
+		log.Fatalf("reading %s: %v", *in, err)
 	}
 
 	start := time.Now()

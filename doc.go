@@ -2,9 +2,10 @@
 // in Wikipedia Infoboxes" (Barth et al., EDBT 2023).
 //
 // The implementation lives under internal/: the change-cube data model and
-// its durable store (internal/changecube, internal/cubestore), the wikitext
-// and MediaWiki-dump ingest (internal/wikitext, internal/revision), the
-// noise-filter pipeline (internal/filter), the field-correlation and
+// its binary codec (internal/changecube), the durable epoch store
+// (internal/epochstore), the wikitext and MediaWiki-dump ingest
+// (internal/wikitext, internal/revision), the noise-filter pipeline
+// (internal/filter), the field-correlation and
 // association-rule change predictors (internal/correlation,
 // internal/assocrules), baselines and ensembles (internal/baseline,
 // internal/ensemble), the future-work extensions (internal/seasonal,

@@ -1,19 +1,23 @@
 // Dailyops demonstrates the operational loop the paper's deployment
-// requires: a durable change store on disk, a detector trained from it,
-// daily batches of freshly parsed changes committed as segments and
-// ingested into the running detector (predictions see them immediately),
-// and the yearly retraining the paper recommends in §5.3.3.
+// requires: a detector trained from the historical corpus and persisted as
+// an epoch snapshot, daily batches of freshly parsed changes ingested into
+// the running detector (predictions see them immediately) and snapshotted
+// again, a restart that serves the same alerts from the store, and the
+// yearly retraining the paper recommends in §5.3.3.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
+	"reflect"
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/core"
-	"github.com/wikistale/wikistale/internal/cubestore"
 	"github.com/wikistale/wikistale/internal/dataset"
+	"github.com/wikistale/wikistale/internal/epochstore"
+	"github.com/wikistale/wikistale/internal/ingest"
 )
 
 func main() {
@@ -23,40 +27,31 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
+	ctx := context.Background()
+	cfg := core.DefaultConfig()
 
-	// Day 0: bootstrap the store from the historical corpus.
-	corpus, _, err := dataset.Generate(dataset.Small())
+	// Day 0: train on the historical corpus and persist the epoch.
+	cube, _, err := dataset.Generate(dataset.Small())
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := cubestore.Open(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Copy dictionaries/entities, then bulk-append the history.
-	cube := store.Cube()
-	for _, name := range corpus.Properties.Names() {
-		cube.Properties.Intern(name)
-	}
-	for e := 0; e < corpus.NumEntities(); e++ {
-		info := corpus.Entity(changecube.EntityID(e))
-		cube.AddEntityNamed(
-			corpus.Templates.Name(int32(info.Template)),
-			corpus.Pages.Name(int32(info.Page)))
-	}
-	store.Append(corpus.Changes()...)
-	if err := store.Commit(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("bootstrapped store: %d changes in %d segment(s)\n",
-		cube.NumChanges(), store.Segments())
-
-	detector, err := core.Train(cube, core.DefaultConfig())
+	detector, err := core.Train(cube, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("trained: %d correlation rules, %d association rules\n",
 		detector.FieldCorrelations().NumRules(), detector.AssociationRules().NumRules())
+	store, err := epochstore.Open(epochstore.Options{Dir: dir})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Outside the live loop there is no feed, so the epoch carries an
+	// empty checkpoint.
+	rec, err := store.Snapshot(ctx, detector, ingest.Checkpoint{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("bootstrapped store: epoch %d, %d changes\n", rec.Seq, rec.Changes)
 
 	// Simulated daily operation: a match-day edit arrives where matches is
 	// updated but total_goals is forgotten.
@@ -71,20 +66,21 @@ func main() {
 		Value:    "9",
 		Kind:     changecube.Update,
 	}}
-
-	// Durability first, then the in-memory model.
-	store.Append(batch...)
-	if err := store.Commit(); err != nil {
-		log.Fatal(err)
+	for _, ch := range batch {
+		cube.Add(ch)
 	}
 	if err := detector.Ingest(batch); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("day %s: committed batch (now %d segments), ingested without retraining\n",
-		today, store.Segments())
+	rec, err = store.Snapshot(ctx, detector, ingest.Checkpoint{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("day %s: ingested without retraining, persisted as epoch %d\n", today, rec.Seq)
 
 	// The evening stale scan: the brand-new page is already covered by the
 	// template rule learned from other seasons.
+	var alerts []core.StaleAlert
 	for _, alert := range detector.DetectStale(today+1, 3) {
 		if alert.Field.Entity != season {
 			continue
@@ -95,17 +91,39 @@ func main() {
 		if alert.Field.Property != goalsProp {
 			log.Fatal("unexpected property flagged")
 		}
+		alerts = append(alerts, alert)
 	}
 
-	// Yearly maintenance: retrain from the accumulated data and compact
-	// the day segments.
-	retrained, err := detector.Retrain()
+	// A restart boots from the newest epoch and serves the same alerts.
+	loaded, err := store.LoadLatest(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := store.Compact(); err != nil {
+	if loaded.Detector == nil {
+		log.Fatalf("restart found no loadable epoch: %v", loaded.Errors)
+	}
+	var reloaded []core.StaleAlert
+	for _, alert := range loaded.Detector.DetectStale(today+1, 3) {
+		if alert.Field.Entity == season {
+			reloaded = append(reloaded, alert)
+		}
+	}
+	if !reflect.DeepEqual(alerts, reloaded) {
+		log.Fatal("reloaded epoch serves different alerts")
+	}
+	fmt.Printf("restarted from epoch %d (%s): same %d alert(s)\n",
+		loaded.Record.Seq, loaded.Outcome, len(reloaded))
+
+	// Yearly maintenance: retrain from the accumulated data and persist
+	// the new epoch.
+	retrained, err := loaded.Detector.Retrain()
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("retrained (test split now ends %s); store compacted to %d segment(s)\n",
-		retrained.Splits().Test.End, store.Segments())
+	rec, err = store.Snapshot(ctx, retrained, ingest.Checkpoint{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("retrained (test split now ends %s); persisted as epoch %d\n",
+		retrained.Splits().Test.End, rec.Seq)
 }

@@ -1,4 +1,4 @@
-package cubestore
+package changecube_test
 
 import (
 	"bytes"
@@ -19,11 +19,10 @@ func TestCloneEncodeBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube.Sort()
-	want := EncodeCubeChanges(cube)
+	want := cube.AppendChanges(nil)
 
 	clone := cube.Clone()
-	if got := EncodeCubeChanges(clone); !bytes.Equal(want, got) {
+	if got := clone.AppendChanges(nil); !bytes.Equal(want, got) {
 		t.Fatalf("clone encodes to %d bytes, original to %d — not bit-identical", len(got), len(want))
 	}
 
@@ -37,7 +36,7 @@ func TestCloneEncodeBitIdentity(t *testing.T) {
 			Value: "x", Kind: changecube.Update,
 		})
 	}
-	if got := EncodeCubeChanges(cube); !bytes.Equal(want, got) {
+	if got := cube.AppendChanges(nil); !bytes.Equal(want, got) {
 		t.Fatal("original's encoding changed after mutating the clone")
 	}
 	if err := cube.Validate(); err != nil {

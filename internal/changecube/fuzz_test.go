@@ -12,6 +12,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte("WCC1"))
 	f.Add([]byte{})
+	f.Add(duplicatePageBinary())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cube, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
@@ -31,4 +32,17 @@ func buildFuzzSeed() ([]byte, error) {
 	var buf bytes.Buffer
 	err := c.WriteBinary(&buf)
 	return buf.Bytes(), err
+}
+
+// duplicatePageBinary encodes a cube whose page dictionary repeats a name:
+// pages ["A", "A", "B"] and one entity on page 1. Interning the repeat
+// would shift the entity onto page "B".
+func duplicatePageBinary() []byte {
+	c := New()
+	c.Templates.Intern("t")
+	c.Pages.names = []string{"A", "A", "B"} // Intern cannot build this
+	c.AddEntity(0, 1)
+	var buf bytes.Buffer
+	c.WriteBinary(&buf)
+	return buf.Bytes()
 }

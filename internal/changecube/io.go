@@ -8,179 +8,76 @@ import (
 	"io"
 )
 
-// Binary format:
-//
-//	magic "WCC1"
-//	3 dictionaries (properties, templates, pages), each:
-//	    uvarint count, then per name: uvarint length + bytes
-//	uvarint entity count, then per entity: uvarint template, uvarint page
-//	uvarint change count, then per change:
-//	    varint time delta (seconds, vs. previous change)
-//	    uvarint entity, uvarint property, byte kind|botFlag,
-//	    uvarint value length + bytes
-//
-// Delta-encoding the timestamps keeps sorted cubes compact.
+// Binary (.wcc) format: magic "WCC1", the codec's dictionaries, a uvarint
+// entity count with a uvarint template and page per entity, then the
+// codec's change list (see codec.go).
 
 const binaryMagic = "WCC1"
 
-const botFlag = 0x80
-
 // WriteBinary serializes the cube in its canonical change order.
 func (c *Cube) WriteBinary(w io.Writer) error {
-	c.Sort()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	for _, d := range []*Dict{c.Properties, c.Templates, c.Pages} {
-		writeUvarint(bw, uint64(d.Len()))
-		for _, name := range d.Names() {
-			writeString(bw, name)
-		}
-	}
-	writeUvarint(bw, uint64(len(c.entities)))
+	buf := c.AppendDicts([]byte(binaryMagic))
+	buf = binary.AppendUvarint(buf, uint64(len(c.entities)))
 	for _, e := range c.entities {
-		writeUvarint(bw, uint64(e.Template))
-		writeUvarint(bw, uint64(e.Page))
+		buf = binary.AppendUvarint(buf, uint64(e.Template))
+		buf = binary.AppendUvarint(buf, uint64(e.Page))
 	}
-	writeUvarint(bw, uint64(c.NumChanges()))
-	prev := int64(0)
-	c.EachChange(func(_ int, ch Change) bool {
-		writeVarint(bw, ch.Time-prev)
-		prev = ch.Time
-		writeUvarint(bw, uint64(ch.Entity))
-		writeUvarint(bw, uint64(ch.Property))
-		kind := byte(ch.Kind)
-		if ch.Bot {
-			kind |= botFlag
-		}
-		bw.WriteByte(kind)
-		writeString(bw, ch.Value)
-		return true
-	})
-	return bw.Flush()
+	buf = c.AppendChanges(buf)
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadBinary deserializes a cube written by WriteBinary.
 func ReadBinary(r io.Reader) (*Cube, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("changecube: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("changecube: bad magic %q", magic)
-	}
-	c := New()
-	for _, d := range []*Dict{c.Properties, c.Templates, c.Pages} {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("changecube: dictionary size: %w", err)
-		}
-		for i := uint64(0); i < n; i++ {
-			s, err := readString(br)
-			if err != nil {
-				return nil, fmt.Errorf("changecube: dictionary entry: %w", err)
-			}
-			d.Intern(s)
-		}
-	}
-	nEnt, err := binary.ReadUvarint(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("changecube: entity count: %w", err)
+		return nil, fmt.Errorf("changecube: reading cube: %w", err)
 	}
-	for i := uint64(0); i < nEnt; i++ {
-		t, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		p, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if int(t) >= c.Templates.Len() || int(p) >= c.Pages.Len() {
-			return nil, fmt.Errorf("changecube: entity %d references unknown template/page", i)
-		}
-		c.AddEntity(TemplateID(t), PageID(p))
-	}
-	nCh, err := binary.ReadUvarint(br)
+	c, err := decodeBinary(data)
 	if err != nil {
-		return nil, fmt.Errorf("changecube: change count: %w", err)
-	}
-	prev := int64(0)
-	for i := uint64(0); i < nCh; i++ {
-		dt, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("changecube: change %d time: %w", i, err)
-		}
-		prev += dt
-		ent, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		prop, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		val, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		if int(ent) >= c.NumEntities() {
-			return nil, fmt.Errorf("changecube: change %d references unknown entity %d", i, ent)
-		}
-		if int(prop) >= c.Properties.Len() {
-			return nil, fmt.Errorf("changecube: change %d references unknown property %d", i, prop)
-		}
-		if kind&^botFlag > byte(Delete) {
-			return nil, fmt.Errorf("changecube: change %d has invalid kind %d", i, kind&^botFlag)
-		}
-		c.Add(Change{
-			Time:     prev,
-			Entity:   EntityID(ent),
-			Property: PropertyID(prop),
-			Value:    val,
-			Kind:     ChangeKind(kind &^ botFlag),
-			Bot:      kind&botFlag != 0,
-		})
+		return nil, fmt.Errorf("changecube: %w", err)
 	}
 	return c, nil
 }
 
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s)
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
+func decodeBinary(data []byte) (*Cube, error) {
+	r := NewReader(data)
+	magic, err := r.Take(len(binaryMagic), "magic")
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if n > 1<<24 {
-		return "", fmt.Errorf("changecube: implausible string length %d", n)
+	if string(magic) != binaryMagic {
+		return nil, fmt.Errorf("bad magic %q", magic)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+	c := New()
+	if err := c.DecodeDicts(r); err != nil {
+		return nil, err
 	}
-	return string(buf), nil
+	entities, err := r.Count("entities")
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < entities; i++ {
+		template, err := r.Uvarint("entity template")
+		if err != nil {
+			return nil, err
+		}
+		page, err := r.Uvarint("entity page")
+		if err != nil {
+			return nil, err
+		}
+		if template >= uint64(c.Templates.Len()) || page >= uint64(c.Pages.Len()) {
+			return nil, fmt.Errorf("entity %d references unknown template/page", i)
+		}
+		c.AddEntity(TemplateID(template), PageID(page))
+	}
+	if err := c.DecodeChanges(r); err != nil {
+		return nil, err
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", r.Len())
+	}
+	return c, nil
 }
 
 // JSONChange is the JSON-lines interchange record for one change, with the

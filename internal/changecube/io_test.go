@@ -119,11 +119,21 @@ func TestReadBinaryRejectsTruncatedValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	// Chop the stream at several points; every prefix must error, not panic.
-	for _, cut := range []int{5, 10, len(full) / 2, len(full) - 1} {
+	// Every prefix must error, not panic.
+	for cut := 0; cut < len(full); cut++ {
 		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("prefix of %d bytes accepted", cut)
 		}
+	}
+}
+
+// TestReadBinaryRejectsDuplicateDictEntry: a repeated page name used to
+// intern onto the first entry, so the entity on page 1 read back on page
+// "B" with no error and a cube that still validated.
+func TestReadBinaryRejectsDuplicateDictEntry(t *testing.T) {
+	c, err := ReadBinary(bytes.NewReader(duplicatePageBinary()))
+	if err == nil {
+		t.Fatalf("duplicate page accepted; entity 0 reads back on page %q", c.Pages.Name(int32(c.Page(0))))
 	}
 }
 

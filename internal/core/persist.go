@@ -20,8 +20,8 @@ import (
 const modelVersion = 1
 
 // modelFile is the JSON shape of a trained model: every learned rule set,
-// but no observation data — the histories live in the change cube (or the
-// cubestore) and are supplied again at load time. The paper's 6-hour
+// but no observation data — the histories live in the change cube (or an
+// epoch snapshot) and are supplied again at load time. The paper's 6-hour
 // training run thus happens once; services restart from the file.
 type modelFile struct {
 	Version int    `json:"version"`

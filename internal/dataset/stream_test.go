@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-
-	"github.com/wikistale/wikistale/internal/cubestore"
 )
 
 // TestStreamMatchesGenerate: the streamed corpus, fed through the same
@@ -43,8 +41,8 @@ func TestStreamMatchesGenerate(t *testing.T) {
 		t.Fatalf("largest batch holds %d of %d events; batches must stay entity-sized", maxBatch, events)
 	}
 
-	want := cubestore.EncodeCubeChanges(batchCube)
-	got := cubestore.EncodeCubeChanges(sink.cube)
+	want := batchCube.AppendChanges(nil)
+	got := sink.cube.AppendChanges(nil)
 	if !bytes.Equal(want, got) {
 		t.Fatalf("streamed corpus differs from batch corpus: %d vs %d encoded bytes", len(got), len(want))
 	}

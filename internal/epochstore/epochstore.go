@@ -186,6 +186,20 @@ func (s *Store) Latest() (Record, bool) {
 	return s.records[len(s.records)-1], true
 }
 
+// syncDir fsyncs a directory so renames and newly created names in it
+// survive a power failure.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // countFiles counts ep-*.snap files on disk. Caller need not hold the
 // mutex (reads the directory, not store state).
 func (s *Store) countFiles() int {

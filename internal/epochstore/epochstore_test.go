@@ -14,6 +14,7 @@ import (
 	"github.com/wikistale/wikistale/internal/core"
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/ingest"
+	"github.com/wikistale/wikistale/internal/obs"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
 
@@ -229,6 +230,67 @@ func TestLoadFallback(t *testing.T) {
 	res, err = openStore(t, t.TempDir(), 0).LoadLatest(ctx, cfg)
 	if err != nil || res.Outcome != "cold" || len(res.Errors) != 0 {
 		t.Fatalf("empty store: res %+v err %v, want silent cold", res, err)
+	}
+}
+
+// TestSnapshotCommitFailure: a snapshot that cannot be written is counted
+// and leaves the committed state alone — the log and the loadable epoch
+// stay as they were — and the next attempt commits once the obstacle is
+// gone.
+func TestSnapshotCommitFailure(t *testing.T) {
+	det, cp, cfg := trainEpoch(t)
+	dir := t.TempDir()
+	s := openStore(t, dir, 0)
+	ctx := context.Background()
+	if _, err := s.Snapshot(ctx, det, cp); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, logName)
+	logBefore, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A directory where the next temp file goes makes its create fail.
+	blocker := filepath.Join(dir, snapName(2)+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	errorsTotal := obs.Default.Counter("wikistale_epochstore_snapshot_errors_total", nil)
+	countBefore := errorsTotal.Value()
+	if _, err := s.Snapshot(ctx, det, cp); err == nil {
+		t.Fatal("snapshot over a blocked temp file succeeded")
+	}
+	if got := s.Stats().SnapshotErrors; got != 1 {
+		t.Fatalf("Stats().SnapshotErrors = %d, want 1", got)
+	}
+	if got := errorsTotal.Value(); got != countBefore+1 {
+		t.Fatalf("snapshot error counter moved by %d, want 1", got-countBefore)
+	}
+	if n := s.Epochs(); n != 1 {
+		t.Fatalf("%d epochs after the failed commit, want 1", n)
+	}
+	if logAfter, err := os.ReadFile(logPath); err != nil || !bytes.Equal(logAfter, logBefore) {
+		t.Fatalf("EPOCHS changed by the failed commit (read error %v)", err)
+	}
+	res, err := s.LoadLatest(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != "latest" || res.Record.Seq != 1 {
+		t.Fatalf("load after the failed commit: outcome %q seq %d, want latest seq 1 (errors %v)",
+			res.Outcome, res.Record.Seq, res.Errors)
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.Snapshot(ctx, det, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Seq != 2 {
+		t.Fatalf("commit after recovery has seq %d, want 2", rec.Seq)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/wikistale/wikistale/internal/cubestore"
 	"github.com/wikistale/wikistale/internal/ingest"
 )
 
@@ -228,7 +227,7 @@ func (s *Store) compactLocked() error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	if err := cubestore.SyncDir(s.dir); err != nil {
+	if err := syncDir(s.dir); err != nil {
 		return err
 	}
 	s.records = append([]Record(nil), keep...)

@@ -12,7 +12,6 @@ import (
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/core"
-	"github.com/wikistale/wikistale/internal/cubestore"
 	"github.com/wikistale/wikistale/internal/filter"
 	"github.com/wikistale/wikistale/internal/ingest"
 	"github.com/wikistale/wikistale/internal/obs"
@@ -30,6 +29,11 @@ const (
 	snapVersionV1 = 1
 )
 
+// changesTag heads the snapshot's change list. It is the magic of the
+// retired segment format the list was first encoded in, kept so snapshots
+// written by earlier builds still decode.
+const changesTag = "WCS1"
+
 func snapName(seq uint64) string { return fmt.Sprintf("ep-%08d.snap", seq) }
 
 // snapshotPayload is the decoded content of a snapshot file.
@@ -46,7 +50,7 @@ type snapshotPayload struct {
 
 // encodeSnapshot serializes an epoch: the detector's model JSON, the three
 // interned dictionaries, the entity table with infobox ordinals, and the
-// cube's changes in canonical order (cubestore's segment codec). The cube
+// cube's changes in canonical order (both in changecube's codec). The cube
 // is cloned before sorting so a detector serving from it is never
 // disturbed; the canonical order makes the encoding deterministic for a
 // given corpus regardless of arrival order.
@@ -70,14 +74,7 @@ func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte) ([]byte,
 	buf = append(buf, snapVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(model)))
 	buf = append(buf, model...)
-	for _, dict := range []*changecube.Dict{cube.Properties, cube.Templates, cube.Pages} {
-		names := dict.Names()
-		buf = binary.AppendUvarint(buf, uint64(len(names)))
-		for _, name := range names {
-			buf = binary.AppendUvarint(buf, uint64(len(name)))
-			buf = append(buf, name...)
-		}
-	}
+	buf = cube.AppendDicts(buf)
 	buf = binary.AppendUvarint(buf, uint64(cube.NumEntities()))
 	for e := 0; e < cube.NumEntities(); e++ {
 		info := cube.Entity(changecube.EntityID(e))
@@ -85,7 +82,7 @@ func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte) ([]byte,
 		buf = binary.AppendUvarint(buf, uint64(info.Page))
 		buf = binary.AppendUvarint(buf, uint64(ordinals[e]))
 	}
-	changes := cubestore.EncodeCubeChanges(cube)
+	changes := cube.AppendChanges([]byte(changesTag))
 	buf = binary.AppendUvarint(buf, uint64(len(changes)))
 	buf = append(buf, changes...)
 
@@ -144,89 +141,74 @@ func sequentialOrdinals(cube *changecube.Cube) []int {
 // any shape returns an error, never panics — the fuzz target's contract.
 func decodeSnapshot(data []byte) (*snapshotPayload, error) {
 	if len(data) < len(snapMagic)+1 || string(data[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("epochstore: snapshot: bad magic")
+		return nil, fmt.Errorf("bad magic")
 	}
 	version := data[len(snapMagic)]
 	if version != snapVersion && version != snapVersionV1 {
-		return nil, fmt.Errorf("epochstore: snapshot version %d, this build reads %d", version, snapVersion)
+		return nil, fmt.Errorf("version %d, this build reads %d", version, snapVersion)
 	}
-	r := &byteReader{data: data, pos: len(snapMagic) + 1}
+	r := changecube.NewReader(data[len(snapMagic)+1:])
 
-	model, err := r.bytes("model")
+	model, err := r.Bytes("model")
 	if err != nil {
 		return nil, err
 	}
 	cube := changecube.New()
-	for _, d := range []struct {
-		name string
-		dict *changecube.Dict
-	}{{"properties", cube.Properties}, {"templates", cube.Templates}, {"pages", cube.Pages}} {
-		count, err := r.count(d.name)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < count; i++ {
-			raw, err := r.bytes(d.name + " entry")
-			if err != nil {
-				return nil, err
-			}
-			if id := d.dict.Intern(string(raw)); int(id) != i {
-				return nil, fmt.Errorf("epochstore: snapshot: duplicate %s entry %q", d.name, raw)
-			}
-		}
+	if err := cube.DecodeDicts(r); err != nil {
+		return nil, err
 	}
-	entities, err := r.count("entities")
+	entities, err := r.Count("entities")
 	if err != nil {
 		return nil, err
 	}
 	ordinals := make([]int, 0, entities)
 	for i := 0; i < entities; i++ {
-		template, err := r.uvarint("entity template")
+		template, err := r.Uvarint("entity template")
 		if err != nil {
 			return nil, err
 		}
-		page, err := r.uvarint("entity page")
+		page, err := r.Uvarint("entity page")
 		if err != nil {
 			return nil, err
 		}
-		ord, err := r.uvarint("entity ordinal")
+		ord, err := r.Uvarint("entity ordinal")
 		if err != nil {
 			return nil, err
 		}
 		if template >= uint64(cube.Templates.Len()) || page >= uint64(cube.Pages.Len()) {
-			return nil, fmt.Errorf("epochstore: snapshot: entity %d references template %d / page %d out of range", i, template, page)
+			return nil, fmt.Errorf("entity %d references template %d / page %d out of range", i, template, page)
 		}
 		if ord > uint64(entities) {
-			return nil, fmt.Errorf("epochstore: snapshot: entity %d ordinal %d out of range", i, ord)
+			return nil, fmt.Errorf("entity %d ordinal %d out of range", i, ord)
 		}
 		cube.AddEntity(changecube.TemplateID(template), changecube.PageID(page))
 		ordinals = append(ordinals, int(ord))
 	}
-	changes, err := r.bytes("changes")
+	changes, err := r.Bytes("changes")
 	if err != nil {
 		return nil, err
 	}
-	nstages, err := r.count("stats stages")
+	nstages, err := r.Count("stats stages")
 	if err != nil {
 		return nil, err
 	}
 	var stats filter.Stats
 	for i := 0; i < nstages; i++ {
-		name, err := r.bytes("stage name")
+		name, err := r.Bytes("stage name")
 		if err != nil {
 			return nil, err
 		}
-		in, err := r.uvarint("stage in")
+		in, err := r.Uvarint("stage in")
 		if err != nil {
 			return nil, err
 		}
-		out, err := r.uvarint("stage out")
+		out, err := r.Uvarint("stage out")
 		if err != nil {
 			return nil, err
 		}
 		stats.Stages = append(stats.Stages, filter.StageStats{Name: string(name), In: int(in), Out: int(out)})
 	}
-	nhist, err := r.count("histories")
+	nhist, err := r.Count("histories")
 	if err != nil {
 		return nil, err
 	}
@@ -235,128 +217,77 @@ func decodeSnapshot(data []byte) (*snapshotPayload, error) {
 	// field's bytes in place (validating), then re-home all of them into
 	// one arena so the loaded epoch doesn't pin the snapshot buffer.
 	type histSpan struct {
-		field    changecube.FieldKey
-		off, end int
-		ndays    int
+		field  changecube.FieldKey
+		packed []byte
+		ndays  int
 	}
 	spans := make([]histSpan, 0, nhist)
 	packedTotal := 0
 	for i := 0; i < nhist; i++ {
-		entity, err := r.uvarint("history entity")
+		entity, err := r.Uvarint("history entity")
 		if err != nil {
 			return nil, err
 		}
-		property, err := r.uvarint("history property")
+		property, err := r.Uvarint("history property")
 		if err != nil {
 			return nil, err
 		}
 		if entity >= uint64(entities) || property >= uint64(cube.Properties.Len()) {
-			return nil, fmt.Errorf("epochstore: snapshot: history %d references entity %d / property %d out of range", i, entity, property)
+			return nil, fmt.Errorf("history %d references entity %d / property %d out of range", i, entity, property)
 		}
-		ndays, err := r.count("history days")
+		ndays, err := r.Count("history days")
 		if err != nil {
 			return nil, err
 		}
 		if ndays == 0 {
-			return nil, fmt.Errorf("epochstore: snapshot: history %d is empty", i)
+			return nil, fmt.Errorf("history %d is empty", i)
 		}
 		field := changecube.FieldKey{Entity: changecube.EntityID(entity), Property: changecube.PropertyID(property)}
-		_, consumed, err := changecube.ScanPackedDays(field, data[r.pos:], ndays)
+		_, consumed, err := changecube.ScanPackedDays(field, r.Rest(), ndays)
 		if err != nil {
-			return nil, fmt.Errorf("epochstore: snapshot: history %d: %w", i, err)
+			return nil, fmt.Errorf("history %d: %w", i, err)
 		}
-		spans = append(spans, histSpan{field: field, off: r.pos, end: r.pos + consumed, ndays: ndays})
-		r.pos += consumed
+		packed, err := r.Take(consumed, "history days")
+		if err != nil {
+			return nil, err
+		}
+		spans = append(spans, histSpan{field: field, packed: packed, ndays: ndays})
 		packedTotal += consumed
 	}
 	arena := make([]byte, 0, packedTotal)
 	histories := make([]changecube.History, 0, nhist)
 	for _, sp := range spans {
 		start := len(arena)
-		arena = append(arena, data[sp.off:sp.end]...)
+		arena = append(arena, sp.packed...)
 		h, err := changecube.NewHistoryPacked(sp.field, arena[start:len(arena):len(arena)], sp.ndays)
 		if err != nil {
-			return nil, fmt.Errorf("epochstore: snapshot: history %v: %w", sp.field, err)
+			return nil, fmt.Errorf("history %v: %w", sp.field, err)
 		}
 		histories = append(histories, h)
 	}
 	var qualityState []byte
 	if version >= snapVersion {
-		qualityState, err = r.bytes("quality state")
+		qualityState, err = r.Bytes("quality state")
 		if err != nil {
 			return nil, err
 		}
 		// Copy out of the snapshot buffer so the payload doesn't pin it.
 		qualityState = append([]byte(nil), qualityState...)
 	}
-	if r.pos != len(data) {
-		return nil, fmt.Errorf("epochstore: snapshot: %d trailing bytes", len(data)-r.pos)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", r.Len())
 	}
-	_, err = cubestore.DecodeChanges(changes, func(ch changecube.Change) error {
-		if int(ch.Entity) >= cube.NumEntities() || ch.Entity < 0 {
-			return fmt.Errorf("entity %d out of range", ch.Entity)
-		}
-		if int(ch.Property) >= cube.Properties.Len() || ch.Property < 0 {
-			return fmt.Errorf("property %d out of range", ch.Property)
-		}
-		if ch.Kind > changecube.Delete {
-			return fmt.Errorf("invalid change kind %d", uint8(ch.Kind))
-		}
-		cube.Add(ch)
-		return nil
-	})
-	if err != nil {
+	cr := changecube.NewReader(changes)
+	if tag, err := cr.Take(len(changesTag), "changes tag"); err != nil || string(tag) != changesTag {
+		return nil, fmt.Errorf("changes: bad tag")
+	}
+	if err := cube.DecodeChanges(cr); err != nil {
 		return nil, err
+	}
+	if cr.Len() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after the changes", cr.Len())
 	}
 	return &snapshotPayload{model: model, cube: cube, ordinals: ordinals, stats: stats, histories: histories, quality: qualityState}, nil
-}
-
-// byteReader walks a snapshot payload with bounds errors instead of
-// panics.
-type byteReader struct {
-	data []byte
-	pos  int
-}
-
-func (r *byteReader) ReadByte() (byte, error) {
-	if r.pos >= len(r.data) {
-		return 0, fmt.Errorf("epochstore: snapshot: unexpected end of payload")
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *byteReader) uvarint(what string) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("epochstore: snapshot: %s: truncated", what)
-	}
-	return v, nil
-}
-
-// count reads a uvarint bounded by the remaining payload size — every
-// counted item needs at least one byte, so larger counts are lies.
-func (r *byteReader) count(what string) (int, error) {
-	v, err := r.uvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(r.data)-r.pos) {
-		return 0, fmt.Errorf("epochstore: snapshot: %s count %d exceeds payload", what, v)
-	}
-	return int(v), nil
-}
-
-// bytes reads a length-prefixed byte run.
-func (r *byteReader) bytes(what string) ([]byte, error) {
-	n, err := r.count(what)
-	if err != nil {
-		return nil, err
-	}
-	out := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return out, nil
 }
 
 // Snapshot commits one epoch: the detector's model and training cube plus
@@ -425,7 +356,7 @@ func (s *Store) snapshot(det *core.Detector, cp ingest.Checkpoint) (Record, erro
 	if err := os.Rename(tmp, path); err != nil {
 		return Record{}, fmt.Errorf("epochstore: %s: %w", name, err)
 	}
-	if err := cubestore.SyncDir(s.dir); err != nil {
+	if err := syncDir(s.dir); err != nil {
 		return Record{}, fmt.Errorf("epochstore: %s: %w", name, err)
 	}
 	cube := det.Histories().Cube()
@@ -566,7 +497,7 @@ func (s *Store) loadRecord(rec Record, cfg core.Config) (*core.Detector, []int, 
 	}
 	payload, err := decodeSnapshot(data)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, fmt.Errorf("decoding snapshot: %w", err)
 	}
 	cube := payload.cube
 	if cube.Properties.Len() != rec.Properties || cube.Templates.Len() != rec.Templates ||

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/wikistale/wikistale/internal/cubestore"
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/filter"
 )
@@ -23,7 +22,7 @@ func TestSimSourceStagingMatchesGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cubestore.EncodeCubeChanges(cube)
+	want := cube.AppendChanges(nil)
 
 	st, err := NewStaging(filter.Default())
 	if err != nil {
@@ -49,7 +48,7 @@ func TestSimSourceStagingMatchesGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := cubestore.EncodeCubeChanges(hs.Cube())
+	got := hs.Cube().AppendChanges(nil)
 	if !bytes.Equal(want, got) {
 		t.Fatalf("staged corpus differs from batch corpus: %d vs %d encoded bytes", len(got), len(want))
 	}
