@@ -25,6 +25,7 @@ import (
 	"os"
 
 	"github.com/wikistale/wikistale/internal/changecube"
+	"github.com/wikistale/wikistale/internal/ingest"
 	"github.com/wikistale/wikistale/internal/revision"
 )
 
@@ -43,7 +44,7 @@ func main() {
 		in     = flag.String("i", "-", "input revisions; - for stdin")
 		format = flag.String("format", "jsonl", "input format: jsonl or xml (MediaWiki export)")
 		out    = flag.String("o", "corpus.wcc", "output path for the binary change cube")
-		jsonl  = flag.String("jsonl", "", "optional output path for a JSON-lines change dump")
+		jsonl  = flag.String("jsonl", "", "optional output path for a JSON-lines change-event feed (staleserve -live -source)")
 	)
 	flag.Parse()
 
@@ -101,7 +102,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := cube.WriteJSONL(jf); err != nil {
+		if err := ingest.WriteEvents(jf, ingest.CubeEvents(cube)); err != nil {
 			log.Fatalf("writing %s: %v", *jsonl, err)
 		}
 		if err := jf.Close(); err != nil {

@@ -19,9 +19,13 @@
 //
 // Usage:
 //
-//	staleserve -i corpus.wcc &
+//	staleserve -live -source sim &
 //	staleload -url http://localhost:8080 -mode both -c 8 -rps 500 \
 //	          -d 10s -warmup 2s -json BENCH_HTTP.json
+//
+// A server without -live has no /debug/quality (it scores alerts against
+// the feed), so drive staleserve -i corpus.wcc with the quality route
+// left out of -mix, e.g. -mix field=55,explain=20,stale=20.
 package main
 
 import (

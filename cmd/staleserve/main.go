@@ -11,21 +11,26 @@
 //	GET /v1/explain?page=P&property=X&...   full evidence audit for one field
 //	GET /v1/audit                           recent positive verdicts served
 //	GET /v1/stats                           corpus and rule statistics
-//	GET /v1/ingest/stats                    live-feed progress (live mode only)
+//	GET /v1/ingest/stats                    live-feed progress (-live only)
 //	GET /v1/catalog                         servable (page, property) pairs (for load harnesses)
 //	GET /statusz                            human-readable status page
 //	GET /metrics                            Prometheus text (?format=json for JSON)
 //	GET /debug/traces                       recent request/retrain traces (?route=, ?min_ns=)
-//	GET /debug/quality                      online alert-outcome scoring report (live mode)
+//	GET /debug/quality                      online alert-outcome scoring report (-live only)
 //	GET /debug/epochdiff                    last-N epoch diffs: rule and alert-set churn per swap
 //	GET /debug/slo                          SLO burn rates over rolling windows (JSON)
 //	GET /debug/profiles                     pprof profiles captured by burn-rate trips
 //	GET /debug/pprof/                       Go profiling endpoints
 //
-// Batch mode (the default) trains once on -i and serves that detector
-// forever. Live mode (-live) consumes a change-event feed, retrains in
-// the background, and hot-swaps the serving detector with zero downtime:
+// There is one way to serve. At boot the server installs the newest valid
+// epoch from -store, or else trains on the -i corpus (default corpus.wcc
+// unless -live is set, where -i is an optional warm start). Without -live
+// that detector is served as is. With -live a change-event feed streams in
+// as well, the detector is retrained in the background, and each new
+// epoch is hot-swapped in with zero downtime:
 //
+//	staleserve -i corpus.wcc                     # train once and serve
+//	staleserve -i corpus.wcc -store epochs/      # persist the trained epoch; restarts boot from it
 //	staleserve -live -source sim                 # simulated EventStreams feed
 //	staleserve -live -source sim:scale=8         # ~10M-change corpus streamed straight from the generator
 //	staleserve -live -source events.jsonl        # replay a JSONL dump, then keep serving
@@ -33,12 +38,12 @@
 //	staleserve -live -source feed.jsonl -i corpus.wcc  # warm start from a corpus
 //	staleserve -live -source feed.jsonl -store epochs/ # persist epochs; restart boots instantly
 //
-// With -store DIR every trained epoch is persisted (model + training cube
-// + feed checkpoint) into an epoch store; on the next start the newest
-// valid epoch is served immediately — /readyz is 200 in milliseconds with
-// no retraining — and the feed resumes exactly at the epoch's checkpoint.
-// Corrupt or torn snapshots fall back to the previous epoch, then to a
-// cold start.
+// With -store DIR every trained epoch (model + training cube + feed
+// checkpoint), the one trained on -i included, is persisted into an epoch
+// store; on the next start the newest valid epoch is served immediately —
+// /readyz is 200 in milliseconds with no retraining — and a -live feed
+// resumes exactly at the epoch's checkpoint. Corrupt or torn snapshots
+// fall back to the previous epoch, then to training from scratch.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: the listener
 // closes, in-flight requests get up to -drain to finish, then the
@@ -46,7 +51,7 @@
 //
 // Usage:
 //
-//	staleserve -i corpus.wcc -addr :8080 [-v]
+//	staleserve [-i corpus.wcc] [-store DIR] [-live -source SRC] [-addr :8080]
 package main
 
 import (
@@ -56,6 +61,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -71,7 +77,6 @@ import (
 	"github.com/wikistale/wikistale/internal/core"
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/epochstore"
-	"github.com/wikistale/wikistale/internal/filter"
 	"github.com/wikistale/wikistale/internal/ingest"
 	"github.com/wikistale/wikistale/internal/obs/olog"
 	"github.com/wikistale/wikistale/internal/obs/quality"
@@ -80,46 +85,32 @@ import (
 	"github.com/wikistale/wikistale/internal/timeline"
 )
 
-// tracedTrain trains under a root trace, so /debug/traces shows the
-// startup training's filter/train stage breakdown alongside request and
-// retrain traces.
-func tracedTrain(cube *changecube.Cube, cfg core.Config) (*core.Detector, error) {
-	ctx, span := trace.Start(context.Background(), "train")
-	det, err := core.TrainCtx(ctx, cube, cfg)
-	if err != nil {
-		span.SetAttr("error", err.Error())
-	}
-	span.End()
-	return det, err
-}
+var (
+	in    = flag.String("i", "", "input binary change cube to train on when -store has no epoch (default corpus.wcc; optional warm start with -live)")
+	addr  = flag.String("addr", ":8080", "listen address")
+	drain = flag.Duration("drain", 10*time.Second, "graceful-shutdown timeout for in-flight requests")
+
+	logLevel  = flag.String("log-level", "info", "structured-log level: debug, info, warn, or error")
+	logFormat = flag.String("log-format", "text", `structured-log format: "text" or "json"`)
+
+	live           = flag.Bool("live", false, "live mode: stream a change feed, retrain in the background, hot-swap the detector")
+	source         = flag.String("source", "sim", `live feed: "sim" for a simulated EventStreams feed, "sim:scale=N" to stream an N-times-larger corpus straight from the generator, or a JSONL file path`)
+	memLimit       = flag.String("memlimit", "", `soft Go memory limit (e.g. "4GiB"): wires debug.SetMemoryLimit; the limit and live-heap headroom show on /statusz`)
+	follow         = flag.Bool("follow", false, "tail the JSONL source for new events instead of stopping at its end")
+	retrainEvery   = flag.Duration("retrain-every", 15*time.Second, "live mode: retrain at most this often while changes are pending (0 disables)")
+	retrainChanges = flag.Int("retrain-changes", 5000, "live mode: retrain after this many new changes (0 disables)")
+	retrainInc     = flag.Bool("retrain-incremental", true, "live mode: reuse untouched pages' correlation rules between retrains (bit-identical, faster)")
+	retrainFull    = flag.Int("retrain-full-every", 32, "live mode: force a full rebuild after this many incremental retrains (0 never)")
+
+	storeDir    = flag.String("store", "", "epoch store directory — persist every trained epoch and boot from the newest valid one instead of retraining")
+	storeRetain = flag.Int("store-retain", epochstore.DefaultRetain, "epoch snapshots kept on disk")
+
+	qualityHorizon = flag.Int("quality-horizon", quality.DefaultHorizonDays, "live mode: event-time days an alert has to be confirmed by a change before it scores as expired (/debug/quality; 0 disables scoring)")
+)
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("staleserve: ")
-	var (
-		in      = flag.String("i", "", "input binary change cube (batch mode default: corpus.wcc; live mode: optional warm start)")
-		model   = flag.String("model", "", "model file: load it when it exists, train and write it when it does not (batch mode)")
-		addr    = flag.String("addr", ":8080", "listen address")
-		drain   = flag.Duration("drain", 10*time.Second, "graceful-shutdown timeout for in-flight requests")
-		verbose = flag.Bool("v", false, "print the training stage-timing report")
-
-		logLevel  = flag.String("log-level", "info", "structured-log level: debug, info, warn, or error")
-		logFormat = flag.String("log-format", "text", `structured-log format: "text" or "json"`)
-
-		live           = flag.Bool("live", false, "live mode: stream a change feed, retrain in the background, hot-swap the detector")
-		source         = flag.String("source", "sim", `live feed: "sim" for a simulated EventStreams feed, "sim:scale=N" to stream an N-times-larger corpus straight from the generator, or a JSONL file path`)
-		memLimit       = flag.String("memlimit", "", `soft Go memory limit (e.g. "4GiB"): wires debug.SetMemoryLimit; the limit and live-heap headroom show on /statusz`)
-		follow         = flag.Bool("follow", false, "tail the JSONL source for new events instead of stopping at its end")
-		retrainEvery   = flag.Duration("retrain-every", 15*time.Second, "live mode: retrain at most this often while changes are pending (0 disables)")
-		retrainChanges = flag.Int("retrain-changes", 5000, "live mode: retrain after this many new changes (0 disables)")
-		retrainInc     = flag.Bool("retrain-incremental", true, "live mode: reuse untouched pages' correlation rules between retrains (bit-identical, faster)")
-		retrainFull    = flag.Int("retrain-full-every", 32, "live mode: force a full rebuild after this many incremental retrains (0 never)")
-
-		storeDir    = flag.String("store", "", "live mode: epoch store directory — persist every trained epoch and boot from the newest valid one instead of retraining")
-		storeRetain = flag.Int("store-retain", epochstore.DefaultRetain, "live mode: epoch snapshots kept on disk")
-
-		qualityHorizon = flag.Int("quality-horizon", quality.DefaultHorizonDays, "live mode: event-time days an alert has to be confirmed by a change before it scores as expired (/debug/quality; 0 disables scoring)")
-	)
 	flag.Parse()
 
 	// Install the trace-aware slog handler before any server or manager is
@@ -137,59 +128,34 @@ func main() {
 		fmt.Fprintf(os.Stderr, "memory limit: %s\n", *memLimit)
 	}
 
-	if *live {
-		runLive(*source, *in, *addr, *drain, *follow, *retrainEvery, *retrainChanges, *retrainInc, *retrainFull, *storeDir, *storeRetain, *qualityHorizon)
-		return
-	}
-	if *storeDir != "" {
-		log.Fatal("-store requires -live (batch mode persists via -model)")
-	}
-	if *in == "" {
-		*in = "corpus.wcc"
-	}
-	runBatch(*in, *model, *addr, *drain, *verbose)
+	run()
 }
 
-// runBatch is the original mode: train (or load) once, serve forever.
-func runBatch(in, model, addr string, drain time.Duration, verbose bool) {
-	cube := readCube(in)
-
-	start := time.Now()
-	det, how, err := trainOrLoad(cube, model)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "%s on %d changes in %v; %d correlation rules, %d association rules\n",
-		how, cube.NumChanges(), time.Since(start).Round(time.Millisecond),
-		det.FieldCorrelations().NumRules(), det.AssociationRules().NumRules())
-	if verbose {
-		fmt.Fprint(os.Stderr, det.TrainReport())
-	}
-
-	serve(staleserve.New(det), addr, drain, nil)
-}
-
-// runLive wires feed → staging → background retrains → epoch hot-swaps.
-// With -store, the newest valid persisted epoch is loaded first: the
-// server swaps it in before the listener opens (ready in milliseconds, no
-// retraining), the feed resumes from the epoch's checkpoint, and every
+// run wires store → server → feed and serves until SIGINT/SIGTERM. With
+// -store, the newest valid persisted epoch is loaded first and swapped in
+// before the listener opens (ready in milliseconds, no retraining);
+// otherwise the -i corpus is trained and swapped in, and persisted as the
+// store's first epoch. Without -live that detector is served as is: no
+// feed, scorer, ingest stats or lag source is wired. With -live the feed
+// resumes from the loaded epoch's checkpoint (or starts from the
+// beginning), the ingest manager retrains in the background, and every
 // later retrain persists a fresh epoch through the manager's post-swap
 // hook.
-func runLive(source, warmCube, addr string, drain time.Duration, follow bool, retrainEvery time.Duration, retrainChanges int, retrainInc bool, retrainFull int, storeDir string, storeRetain int, qualityHorizon int) {
+func run() {
 	cfg := core.DefaultConfig()
 
 	var es *epochstore.Store
 	var loaded *epochstore.LoadResult
-	if storeDir != "" {
+	if *storeDir != "" {
 		var err error
-		if es, err = epochstore.Open(epochstore.Options{Dir: storeDir, Retain: storeRetain}); err != nil {
+		if es, err = epochstore.Open(epochstore.Options{Dir: *storeDir, Retain: *storeRetain}); err != nil {
 			log.Fatal(err)
 		}
 		if loaded, err = es.LoadLatest(context.Background(), cfg); err != nil {
 			log.Fatal(err)
 		}
 		for _, e := range loaded.Errors {
-			fmt.Fprintf(os.Stderr, "live: epoch store: %s\n", e)
+			fmt.Fprintf(os.Stderr, "epoch store: %s\n", e)
 		}
 		if loaded.Outcome == "cold" {
 			loaded = nil
@@ -197,6 +163,97 @@ func runLive(source, warmCube, addr string, drain time.Duration, follow bool, re
 	}
 
 	var src ingest.Source
+	if *live {
+		src, loaded = openSource(*source, es, loaded)
+	}
+
+	srv := staleserve.NewLive()
+
+	// Online alert-outcome scoring: wired before the first Swap so a store
+	// boot registers its alert set against the restored state (pending
+	// predictions keep their original alert days and deadlines across the
+	// restart; BeginEpoch skips already-pending keys).
+	var scorer *quality.Scorer
+	if *live && *qualityHorizon > 0 {
+		scorer = quality.New(*qualityHorizon)
+		if loaded != nil && len(loaded.Quality) > 0 {
+			if err := scorer.Restore(loaded.Quality); err != nil {
+				fmt.Fprintf(os.Stderr, "live: quality state from epoch %d unusable (%v); scoring starts fresh\n",
+					loaded.Record.Seq, err)
+			}
+		}
+		srv.SetQualityScorer(scorer)
+		if es != nil {
+			es.SetQualitySource(scorer.MarshalBinary)
+		}
+	}
+	if es != nil {
+		srv.SetStoreStats(func() any { return es.Stats() })
+	}
+
+	corpus := *in
+	if corpus == "" && !*live {
+		corpus = "corpus.wcc"
+	}
+	var st *ingest.Staging // nil when booting from the store (rebuilt in background)
+	var err error
+	switch {
+	case loaded != nil:
+		// Boot from the store: serve the persisted epoch immediately; a
+		// feed picks up at its checkpoint, so no event is lost or applied
+		// twice. A warm-start cube (-i) is ignored — the store is newer.
+		srv.Swap(loaded.Detector)
+		es.RecordRecovery(loaded.Outcome)
+		fmt.Fprintf(os.Stderr, "booted epoch %d from %s in %.0f ms (%s; %d fields; feed checkpoint %+v)\n",
+			loaded.Record.Seq, *storeDir, 1000*loaded.Seconds, loaded.Outcome,
+			loaded.Record.Fields, loaded.Checkpoint)
+	case corpus != "":
+		cube := readCube(corpus)
+		if *live {
+			if st, err = ingest.NewStagingFromCube(cube, cfg.Filter); err != nil {
+				log.Fatal(err)
+			}
+		}
+		// Train under a root trace, so /debug/traces shows the startup
+		// training's filter/train stage breakdown beside request and
+		// retrain traces.
+		start := time.Now()
+		ctx, span := trace.Start(context.Background(), "train")
+		det, err := core.TrainCtx(ctx, cube, cfg)
+		span.End()
+		if err != nil {
+			log.Fatalf("training on %s: %v", corpus, err)
+		}
+		srv.Swap(det)
+		fmt.Fprintf(os.Stderr, "trained on %s (%d changes) in %v; %d correlation rules, %d association rules\n",
+			corpus, cube.NumChanges(), time.Since(start).Round(time.Millisecond),
+			det.FieldCorrelations().NumRules(), det.AssociationRules().NumRules())
+		if es != nil {
+			// Persist the warm start so a restart boots from it instead of
+			// retraining. Its checkpoint is the feed's beginning. A failed
+			// snapshot is logged and counted by the store; serving continues.
+			_, _ = es.Snapshot(context.Background(), det, ingest.Checkpoint{})
+		}
+	default:
+		if st, err = ingest.NewStaging(cfg.Filter); err != nil {
+			log.Fatal(err)
+		}
+		if es != nil {
+			es.RecordRecovery("cold")
+		}
+		fmt.Fprintln(os.Stderr, "live: cold start; not ready until enough history has streamed in")
+	}
+
+	var startFeed func() (*ingest.Manager, error)
+	if *live {
+		startFeed = wireFeed(srv, src, st, loaded, es, scorer, cfg)
+	}
+	serve(srv, *addr, *drain, startFeed)
+}
+
+// openSource opens the -live feed. A loaded epoch whose checkpoint does
+// not match the feed is discarded, so the returned epoch is nil then.
+func openSource(source string, es *epochstore.Store, loaded *epochstore.LoadResult) (ingest.Source, *epochstore.LoadResult) {
 	switch {
 	case strings.HasPrefix(source, "sim:"):
 		// Scaled simulated feed: events stream straight out of the
@@ -215,9 +272,9 @@ func runLive(source, warmCube, addr string, drain time.Duration, follow bool, re
 				loaded = discardLoaded(es, err)
 			}
 		}
-		src = sim
 		fmt.Fprintf(os.Stderr, "live: streaming simulated feed at scale %d (%d templates)\n",
 			scale, dataset.Default().Scaled(scale).NumTemplates)
+		return sim, loaded
 	case source == "sim":
 		var cp ingest.SourcePosition
 		if loaded != nil {
@@ -233,7 +290,7 @@ func runLive(source, warmCube, addr string, drain time.Duration, follow bool, re
 		// starts immediately, the feed follows. The simulated feed is
 		// deterministic, so the checkpoint's batch index identifies an
 		// exact position in the regenerated replay.
-		src = &lazyStream{build: func() (*ingest.Stream, error) {
+		return &lazyStream{build: func() (*ingest.Stream, error) {
 			cube, _, err := dataset.Generate(dataset.Default())
 			if err != nil {
 				return nil, fmt.Errorf("generating simulated feed: %w", err)
@@ -246,7 +303,7 @@ func runLive(source, warmCube, addr string, drain time.Duration, follow bool, re
 			}
 			fmt.Fprintf(os.Stderr, "live: simulated feed of %d change events\n", cube.NumChanges())
 			return stream, nil
-		}}
+		}}, loaded
 	default:
 		f, err := os.Open(source)
 		if err != nil {
@@ -269,75 +326,24 @@ func runLive(source, warmCube, addr string, drain time.Duration, follow bool, re
 		if js == nil {
 			js = ingest.NewJSONLSource(f)
 		}
-		if follow {
+		if *follow {
 			js.Follow(0)
 		}
-		src = js
-		fmt.Fprintf(os.Stderr, "live: reading events from %s (follow=%v)\n", source, follow)
+		fmt.Fprintf(os.Stderr, "live: reading events from %s (follow=%v)\n", source, *follow)
+		return js, loaded
 	}
+}
 
-	srv := staleserve.NewLive()
-
-	// Online alert-outcome scoring: wired before the first Swap so a store
-	// boot registers its alert set against the restored state (pending
-	// predictions keep their original alert days and deadlines across the
-	// restart; BeginEpoch skips already-pending keys).
-	var scorer *quality.Scorer
-	if qualityHorizon > 0 {
-		scorer = quality.New(qualityHorizon)
-		if loaded != nil && len(loaded.Quality) > 0 {
-			if err := scorer.Restore(loaded.Quality); err != nil {
-				fmt.Fprintf(os.Stderr, "live: quality state from epoch %d unusable (%v); scoring starts fresh\n",
-					loaded.Record.Seq, err)
-			}
-		}
-		srv.SetQualityScorer(scorer)
-		if es != nil {
-			es.SetQualitySource(scorer.MarshalBinary)
-		}
-	}
-
-	var st *ingest.Staging // nil when booting from the store (rebuilt in background)
-	var err error
-	switch {
-	case loaded != nil:
-		// Boot from the store: serve the persisted epoch immediately; the
-		// feed picks up at its checkpoint, so no event is lost or applied
-		// twice. A warm-start cube (-i) is ignored — the store is newer.
-		srv.Swap(loaded.Detector)
-		es.RecordRecovery(loaded.Outcome)
-		fmt.Fprintf(os.Stderr, "live: booted epoch %d from %s in %.0f ms (%s; %d fields); feed resumes at %+v\n",
-			loaded.Record.Seq, storeDir, 1000*loaded.Seconds, loaded.Outcome,
-			loaded.Record.Fields, loaded.Checkpoint)
-	case warmCube != "":
-		cube := readCube(warmCube)
-		if st, err = ingest.NewStagingFromCube(cube, cfg.Filter); err != nil {
-			log.Fatal(err)
-		}
-		// Serve the warm-start corpus immediately; the feed refreshes it.
-		det, terr := tracedTrain(cube, cfg)
-		if terr != nil {
-			log.Fatalf("warm-start training: %v", terr)
-		}
-		srv.Swap(det)
-		fmt.Fprintf(os.Stderr, "live: warm start from %s (%d changes); serving while the feed streams\n",
-			warmCube, cube.NumChanges())
-	default:
-		if st, err = ingest.NewStaging(cfg.Filter); err != nil {
-			log.Fatal(err)
-		}
-		if es != nil {
-			es.RecordRecovery("cold")
-		}
-		fmt.Fprintln(os.Stderr, "live: cold start; not ready until enough history has streamed in")
-	}
-
+// wireFeed wires the ingest stats and lag source into srv and returns the
+// function that builds the ingest manager over src. st is the staging
+// buffer, nil when loaded is set: it is rebuilt from the loaded epoch.
+func wireFeed(srv *staleserve.Server, src ingest.Source, st *ingest.Staging, loaded *epochstore.LoadResult, es *epochstore.Store, scorer *quality.Scorer, cfg core.Config) func() (*ingest.Manager, error) {
 	mcfg := ingest.Config{
 		Train:            cfg,
-		RetrainInterval:  retrainEvery,
-		RetrainChanges:   retrainChanges,
-		Incremental:      retrainInc,
-		FullRebuildEvery: retrainFull,
+		RetrainInterval:  *retrainEvery,
+		RetrainChanges:   *retrainChanges,
+		Incremental:      *retrainInc,
+		FullRebuildEvery: *retrainFull,
 	}
 	// The manager is built on the feed goroutine: a store boot still has
 	// to rebuild the staging buffer (a full filter pass, seconds on big
@@ -359,11 +365,9 @@ func runLive(source, warmCube, addr string, drain time.Duration, follow bool, re
 		}
 		return mgr.FeedLag()
 	})
-	if es != nil {
-		srv.SetStoreStats(func() any { return es.Stats() })
-	}
-	startFeed := func() (*ingest.Manager, error) {
+	return func() (*ingest.Manager, error) {
 		if loaded != nil {
+			var err error
 			if st, err = loaded.Staging(); err != nil {
 				return nil, fmt.Errorf("rebuilding staging from epoch %d: %w", loaded.Record.Seq, err)
 			}
@@ -389,8 +393,6 @@ func runLive(source, warmCube, addr string, drain time.Duration, follow bool, re
 		mgrPtr.Store(mgr)
 		return mgr, nil
 	}
-
-	serve(srv, addr, drain, startFeed)
 }
 
 // lazyStream builds the simulated feed on first use, on the manager's
@@ -528,6 +530,9 @@ func parseByteSize(s string) (int64, error) {
 	if err != nil || n <= 0 {
 		return 0, fmt.Errorf("cannot parse %q (want e.g. 4GiB, 512MiB, or bytes)", s)
 	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("%q overflows a 64-bit byte count", s)
+	}
 	return n * mult, nil
 }
 
@@ -542,43 +547,4 @@ func readCube(path string) *changecube.Cube {
 		log.Fatalf("reading %s: %v", path, err)
 	}
 	return cube
-}
-
-// trainOrLoad loads the model file when it exists; otherwise it trains,
-// and persists the result when a path was given.
-func trainOrLoad(cube *changecube.Cube, modelPath string) (*core.Detector, string, error) {
-	cfg := core.DefaultConfig()
-	if modelPath != "" {
-		if f, err := os.Open(modelPath); err == nil {
-			defer f.Close()
-			hs, stats, err := filter.Apply(cube, cfg.Filter)
-			if err != nil {
-				return nil, "", err
-			}
-			det, err := core.LoadModel(hs, stats, cfg, f)
-			if err != nil {
-				return nil, "", fmt.Errorf("loading %s: %w", modelPath, err)
-			}
-			return det, "loaded model", nil
-		}
-	}
-	det, err := tracedTrain(cube, cfg)
-	if err != nil {
-		return nil, "", err
-	}
-	if modelPath != "" {
-		f, err := os.Create(modelPath)
-		if err != nil {
-			return nil, "", err
-		}
-		if err := det.SaveModel(f); err != nil {
-			f.Close()
-			return nil, "", err
-		}
-		if err := f.Close(); err != nil {
-			return nil, "", err
-		}
-		fmt.Fprintf(os.Stderr, "wrote model to %s\n", modelPath)
-	}
-	return det, "trained", nil
 }

@@ -1,5 +1,6 @@
 // Command wikigen generates a synthetic Wikipedia infobox change corpus
-// and writes it as a binary change cube (and optionally JSON lines).
+// and writes it as a binary change cube (and optionally as a JSON-lines
+// change-event feed that staleserve -live -source replays).
 //
 // Usage:
 //
@@ -14,6 +15,7 @@ import (
 	"os"
 
 	"github.com/wikistale/wikistale/internal/dataset"
+	"github.com/wikistale/wikistale/internal/ingest"
 )
 
 func main() {
@@ -21,7 +23,7 @@ func main() {
 	log.SetPrefix("wikigen: ")
 	var (
 		out       = flag.String("o", "corpus.wcc", "output path for the binary change cube")
-		jsonl     = flag.String("jsonl", "", "optional output path for a JSON-lines dump")
+		jsonl     = flag.String("jsonl", "", "optional output path for a JSON-lines change-event feed (staleserve -live -source)")
 		scale     = flag.String("scale", "default", "base configuration: small or default")
 		seed      = flag.Int64("seed", 1, "generation seed")
 		templates = flag.Int("templates", 0, "override the number of templates (0 = keep scale default)")
@@ -69,7 +71,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := cube.WriteJSONL(jf); err != nil {
+		if err := ingest.WriteEvents(jf, ingest.CubeEvents(cube)); err != nil {
 			log.Fatalf("writing %s: %v", *jsonl, err)
 		}
 		if err := jf.Close(); err != nil {

@@ -349,7 +349,7 @@ func (d *Detector) Splits() Splits { return d.splits }
 func (d *Detector) FilterStats() filter.Stats { return d.filterStats }
 
 // TrainReport returns the stage-timing breakdown of the Train call that
-// built this detector. Detectors restored via LoadModel carry an empty
+// built this detector. Detectors restored via LoadModelBytes carry an empty
 // report apart from the filter stats.
 func (d *Detector) TrainReport() TrainReport { return d.report }
 

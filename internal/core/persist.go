@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"github.com/wikistale/wikistale/internal/assocrules"
 	"github.com/wikistale/wikistale/internal/baseline"
@@ -16,13 +15,13 @@ import (
 	"github.com/wikistale/wikistale/internal/seasonal"
 )
 
-// modelVersion is bumped on any incompatible change to the model file.
+// modelVersion is bumped on any incompatible change to the model encoding.
 const modelVersion = 1
 
 // modelFile is the JSON shape of a trained model: every learned rule set,
-// but no observation data — the histories live in the change cube (or an
-// epoch snapshot) and are supplied again at load time. The paper's 6-hour
-// training run thus happens once; services restart from the file.
+// but no observation data — the histories live in the epoch snapshot's
+// change cube and are supplied again at load time. The paper's 6-hour
+// training run thus happens once; services restart from the epoch store.
 type modelFile struct {
 	Version int    `json:"version"`
 	Splits  Splits `json:"splits"`
@@ -57,46 +56,23 @@ func (d *Detector) exportModel() modelFile {
 	}
 }
 
-// SaveModel writes the trained model as JSON.
-func (d *Detector) SaveModel(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(d.exportModel())
-}
-
-// MarshalModel returns the trained model in the compact form of the same
-// shape SaveModel writes — the epoch store's model payload. The encoding
-// is deterministic for a given detector (encoding/json writes struct
-// fields in declaration order), so identical detectors marshal to
-// identical bytes.
+// MarshalModel returns the trained model as JSON — the epoch store's
+// model payload. The encoding is deterministic for a given detector
+// (encoding/json writes struct fields in declaration order), so identical
+// detectors marshal to identical bytes.
 func (d *Detector) MarshalModel() ([]byte, error) {
 	return json.Marshal(d.exportModel())
 }
 
-// LoadModel reconstructs a detector from a saved model plus the filtered
-// observation data the predictions run against. The data may be newer than
-// the model (the daily-ingest scenario); the model's rules apply
-// unchanged, as they do between the paper's yearly retrainings.
-func LoadModel(hs *changecube.HistorySet, stats filter.Stats, cfg Config, r io.Reader) (*Detector, error) {
-	var m modelFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("core: decoding model: %w", err)
-	}
-	return loadModelFile(hs, stats, cfg, m)
-}
-
-// LoadModelBytes is LoadModel over an in-memory payload, the inverse of
-// MarshalModel.
+// LoadModelBytes reconstructs a detector from a MarshalModel payload plus
+// the filtered observation data the predictions run against. The data may
+// be newer than the model (the daily-ingest scenario); the model's rules
+// apply unchanged, as they do between the paper's yearly retrainings.
 func LoadModelBytes(hs *changecube.HistorySet, stats filter.Stats, cfg Config, data []byte) (*Detector, error) {
 	var m modelFile
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
 	}
-	return loadModelFile(hs, stats, cfg, m)
-}
-
-func loadModelFile(hs *changecube.HistorySet, stats filter.Stats, cfg Config, m modelFile) (*Detector, error) {
 	if m.Version != modelVersion {
 		return nil, fmt.Errorf("core: model version %d, this build reads %d", m.Version, modelVersion)
 	}

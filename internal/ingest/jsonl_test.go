@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/wikistale/wikistale/internal/changecube"
+	"github.com/wikistale/wikistale/internal/filter"
 )
 
 func sampleEvents() []Event {
@@ -219,4 +220,50 @@ func FuzzReadJSONL(f *testing.F) {
 			t.Fatalf("parsed events failed to re-encode: %v", err)
 		}
 	})
+}
+
+// TestJSONLCorpusKeepsInfoboxes: a corpus written as a JSONL feed (what
+// wikigen -jsonl and infoboxdump -jsonl write) and replayed through
+// JSONLSource into Staging keeps every infobox, pages carrying several
+// boxes of one template included, and the generated cube's funnel counts.
+func TestJSONLCorpusKeepsInfoboxes(t *testing.T) {
+	cube := smallCube(t)
+	var buf bytes.Buffer
+	if err := WriteEvents(&buf, CubeEvents(cube)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := filter.Default()
+	st, err := NewStaging(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewJSONLSource(&buf)
+	for {
+		batch, err := src.Next(context.Background())
+		if len(batch) > 0 {
+			if _, err := st.AppendAt(batch, src.Position()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	hs, stats, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hs.Cube().NumEntities(), cube.NumEntities(); got != want {
+		t.Errorf("replayed feed has %d entities, the generated cube %d", got, want)
+	}
+	_, want, err := filter.Apply(cube, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := inOut(stats), inOut(want); !reflect.DeepEqual(got, want) {
+		t.Errorf("funnel mismatch:\nreplayed  %v\ngenerated %v", got, want)
+	}
 }

@@ -17,7 +17,7 @@ import (
 // entity tie-breaks for history-less consequents.
 func TestSwapDeterministic(t *testing.T) {
 	det := trainSeed(t, 401)
-	s1, s2 := New(det), New(det)
+	s1, s2 := newServer(det), newServer(det)
 	f1, f2 := s1.epoch().fields, s2.epoch().fields
 	if !reflect.DeepEqual(f1.entries, f2.entries) {
 		t.Fatal("two swaps of one detector compiled different entry tables")

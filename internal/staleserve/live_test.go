@@ -303,7 +303,7 @@ func TestSwapUnderLoad(t *testing.T) {
 	// Canonical answers, one server per detector.
 	expect := map[string]map[string]bool{staleQ: {}, fieldQ: {}}
 	for _, det := range []*core.Detector{detA, detB} {
-		s := New(det)
+		s := newServer(det)
 		srv := httptest.NewServer(s.Handler())
 		for q := range expect {
 			code, body := canonicalBody(t, srv.URL+q)
@@ -315,7 +315,7 @@ func TestSwapUnderLoad(t *testing.T) {
 		srv.Close()
 	}
 
-	s := New(detA)
+	s := newServer(detA)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

@@ -19,7 +19,7 @@ import (
 // answers 404, while /debug/epochdiff always serves (the ring exists on
 // every server).
 func TestQualityEndpointDisabled(t *testing.T) {
-	s := New(trainSeed(t, 301))
+	s := newServer(trainSeed(t, 301))
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -58,7 +58,7 @@ func TestEpochDiffRecordsRuleChurn(t *testing.T) {
 	if detA.FieldCorrelations().NumRules() == 0 && detA.AssociationRules().NumRules() == 0 {
 		t.Skip("seed detector trained no rules")
 	}
-	s := New(detA)
+	s := newServer(detA)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -94,7 +94,7 @@ func TestEpochDiffRecordsRuleChurn(t *testing.T) {
 // refreshes the compile-arena gauge to the new epoch's size.
 func TestSwapMetrics(t *testing.T) {
 	det := trainSeed(t, 304)
-	s := New(det)
+	s := newServer(det)
 	before := s.swapSeconds.Count()
 	s.Swap(det)
 	if got := s.swapSeconds.Count(); got != before+1 {
@@ -114,7 +114,7 @@ func TestSwapMetrics(t *testing.T) {
 // the newest day following the data forward.
 func TestCacheCarryAcrossSwapChurn(t *testing.T) {
 	det := trainSeed(t, 305)
-	s := New(det)
+	s := newServer(det)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	end := s.epoch().span.End

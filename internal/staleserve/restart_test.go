@@ -73,9 +73,9 @@ func TestRestartBitIdentity(t *testing.T) {
 		t.Fatalf("load outcome %q (errors %v)", res.Outcome, res.Errors)
 	}
 
-	trained := httptest.NewServer(New(det).Handler())
+	trained := httptest.NewServer(newServer(det).Handler())
 	defer trained.Close()
-	reloaded := httptest.NewServer(New(res.Detector).Handler())
+	reloaded := httptest.NewServer(newServer(res.Detector).Handler())
 	defer reloaded.Close()
 
 	fetch := func(base, path string) []byte {

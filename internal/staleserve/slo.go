@@ -143,7 +143,7 @@ type sloResponse struct {
 	// EpochAgeSeconds is the age of the serving detector epoch (0 before
 	// the first swap).
 	EpochAgeSeconds float64 `json:"epoch_age_seconds"`
-	// IngestLagSeconds is the live feed lag; absent in batch mode.
+	// IngestLagSeconds is the live feed lag; absent without a feed (-live).
 	IngestLagSeconds *float64 `json:"ingest_lag_seconds,omitempty"`
 	// ProfilesBuffered is the number of triggered profiles waiting in
 	// /debug/profiles.

@@ -28,7 +28,7 @@ func newSLOTestServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(det)
+	s := newServer(det)
 	s.SetSLOTracker(slo.New(DefaultSLOs(), DefaultSLOWindows(), slo.TripPolicy{
 		ShortWindow:   5 * time.Minute,
 		LongWindow:    time.Hour,

@@ -157,17 +157,10 @@ type Server struct {
 	diffRing *quality.Ring
 }
 
-// New constructs a server over a trained detector, recording metrics into
-// the default obs registry.
-func New(det *core.Detector) *Server {
-	s := NewLive()
-	s.Swap(det)
-	return s
-}
-
 // NewLive constructs a server with no detector yet: every data endpoint
-// answers 503 and /readyz reports not-ready until the first Swap. This is
-// the cold-start entry point for live ingestion. Traces record into
+// answers 503 and /readyz reports not-ready until the first Swap installs
+// one: a loaded or trained epoch at boot, then every retrain of a live
+// feed. Traces record into
 // trace.Default and logs go to slog.Default() — binaries configure both
 // before constructing the server (olog.Setup); tests may override with
 // SetTraceRecorder and SetLogger.

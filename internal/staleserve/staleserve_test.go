@@ -38,12 +38,20 @@ func initShared(tb testing.TB) {
 			return
 		}
 		truth = tr
-		sharedServer = New(det)
+		sharedServer = newServer(det)
 		server = httptest.NewServer(sharedServer.Handler())
 	})
 	if initE != nil {
 		tb.Fatal(initE)
 	}
+}
+
+// newServer returns a server serving det, the way cmd/staleserve serves a
+// trained or loaded epoch.
+func newServer(det *core.Detector) *Server {
+	s := NewLive()
+	s.Swap(det)
+	return s
 }
 
 func testServer(t *testing.T) (*httptest.Server, *dataset.Truth) {

@@ -39,7 +39,7 @@ func spanByID(tr trace.Trace) map[string]trace.SpanData {
 func TestTracePropagationSingleflight(t *testing.T) {
 	testServer(t) // trains the shared detector once
 	rec := trace.New(16)
-	s := New(sharedServer.epoch().det)
+	s := newServer(sharedServer.epoch().det)
 	s.SetTraceRecorder(rec)
 	s.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	srv := httptest.NewServer(s.Handler())
