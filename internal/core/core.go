@@ -116,6 +116,10 @@ type Detector struct {
 	orEns      ensemble.Or
 	extOrEns   ensemble.Or
 
+	// historyless caches HistorylessConsequents; it depends only on the
+	// rules and histories, so it is recomputed wherever either is set.
+	historyless []changecube.FieldKey
+
 	filterStats filter.Stats
 	report      TrainReport
 	corrInc     correlation.IncrementalStats
@@ -334,6 +338,7 @@ func TrainFilteredHintedCtx(ctx context.Context, hs *changecube.HistorySet, stat
 		Label:   "extended OR-ensemble",
 	}
 	d.report.add("train/ensembles", span.End())
+	d.historyless = d.historylessConsequents()
 
 	d.report.Total = time.Since(start)
 	return d, nil
@@ -516,7 +521,13 @@ func (d *Detector) DetectStale(asOf timeline.Day, windowSize int) []StaleAlert {
 // and a serving index built from it are deterministic across restarts:
 // when two entities on one page can claim the same (page, property) pair,
 // the lowest entity consistently wins any first-wins tie-break downstream.
-func (d *Detector) HistorylessConsequents() []changecube.FieldKey {
+// The list is computed once when the detector is built; the returned slice
+// is shared and must be treated as read-only.
+func (d *Detector) HistorylessConsequents() []changecube.FieldKey { return d.historyless }
+
+// historylessConsequents computes HistorylessConsequents from the rules
+// and histories.
+func (d *Detector) historylessConsequents() []changecube.FieldKey {
 	consequents := make(map[changecube.TemplateID][]changecube.PropertyID)
 	for _, r := range d.assocRules.Rules() {
 		consequents[r.Template] = append(consequents[r.Template], r.Consequent)

@@ -56,6 +56,7 @@ func (d *Detector) Ingest(batch []changecube.Change) error {
 		return fmt.Errorf("core: ingest: %w", err)
 	}
 	d.histories = hs
+	d.historyless = d.historylessConsequents()
 	return nil
 }
 

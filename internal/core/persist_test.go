@@ -128,6 +128,44 @@ func TestLoadedModelSupportsIngest(t *testing.T) {
 	}
 }
 
+// TestHistorylessConsequentsCached: the list computed when a detector is
+// built must equal a fresh computation after training, after a
+// MarshalModel → LoadModelBytes round trip, and after an Ingest gives one
+// of the listed fields its first history.
+func TestHistorylessConsequentsCached(t *testing.T) {
+	det, _ := detector(t)
+	check := func(stage string, d *Detector) {
+		t.Helper()
+		if got, want := d.HistorylessConsequents(), d.historylessConsequents(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: cached %d fields, fresh %d; lists differ", stage, len(got), len(want))
+		}
+	}
+	check("trained", det)
+	if len(det.HistorylessConsequents()) == 0 {
+		t.Fatal("corpus has no history-less consequents; the test checks nothing")
+	}
+	loaded := reload(t, det)
+	check("loaded", loaded)
+
+	field := loaded.HistorylessConsequents()[0]
+	end := loaded.Histories().Span().End
+	if err := loaded.Ingest([]changecube.Change{{
+		Time:     (end + 1).Unix(),
+		Entity:   field.Entity,
+		Property: field.Property,
+		Value:    "1",
+		Kind:     changecube.Update,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	check("ingested", loaded)
+	for _, f := range loaded.HistorylessConsequents() {
+		if f == field {
+			t.Fatalf("%v has a history after Ingest but is still listed", field)
+		}
+	}
+}
+
 func TestLoadModelRejectsGarbage(t *testing.T) {
 	det, _ := detector(t)
 	if _, err := LoadModelBytes(det.Histories(), det.FilterStats(), det.cfg,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,7 +81,8 @@ type Stats struct {
 	Batches uint64 `json:"batches"`
 	// LastBatchEvents is the size of the most recent batch.
 	LastBatchEvents int `json:"last_batch_events"`
-	// LastEventTime is the timestamp of the newest event seen (RFC 3339).
+	// LastEventTime is the timestamp of the newest event seen (RFC 3339);
+	// it never moves backwards when a batch of older events arrives.
 	LastEventTime string `json:"last_event_time,omitempty"`
 	// FeedLagSeconds is the wall-clock age of the newest event — large on
 	// historical replays, near zero on a live feed.
@@ -159,6 +161,10 @@ type Manager struct {
 
 	mu    sync.Mutex
 	stats Stats
+	// newestEvent is the newest event time applied so far (Unix seconds;
+	// meaningful once stats.Batches > 0). It only moves forward, so a
+	// batch of older events never makes the feed lag jump up.
+	newestEvent int64
 
 	logger *slog.Logger
 
@@ -244,14 +250,14 @@ func (m *Manager) Stats() Stats {
 			s.RecentRetrains[n-1-i] = r
 		}
 	}
+	if s.Batches > 0 {
+		newest := time.Unix(m.newestEvent, 0)
+		s.LastEventTime = newest.UTC().Format(time.RFC3339)
+		s.FeedLagSeconds = time.Since(newest).Seconds()
+	}
 	s.Staging = m.st.Stats()
 	s.PendingChanges = m.pending.Load()
 	s.Drift = m.drift.Stats()
-	if s.LastEventTime != "" {
-		if t, err := time.Parse(time.RFC3339, s.LastEventTime); err == nil {
-			s.FeedLagSeconds = time.Since(t).Seconds()
-		}
-	}
 	return s
 }
 
@@ -262,16 +268,12 @@ func (m *Manager) Stats() Stats {
 // zero before any event has arrived.
 func (m *Manager) FeedLag() float64 {
 	m.mu.Lock()
-	last := m.stats.LastEventTime
+	seen, newest := m.stats.Batches > 0, m.newestEvent
 	m.mu.Unlock()
-	if last == "" {
+	if !seen {
 		return 0
 	}
-	t, err := time.Parse(time.RFC3339, last)
-	if err != nil {
-		return 0
-	}
-	return time.Since(t).Seconds()
+	return time.Since(time.Unix(newest, 0)).Seconds()
 }
 
 // Run consumes the feed until it ends (io.EOF, returning nil after one
@@ -306,6 +308,11 @@ func (m *Manager) Run(ctx context.Context) error {
 			if aerr := m.consume(events); aerr != nil {
 				return aerr
 			}
+			// A catch-up reads batches back to back without blocking, so
+			// this goroutine would keep a core until its time slice ends
+			// while retrains hold the other; yielding lets request
+			// handlers run between batches.
+			runtime.Gosched()
 		}
 		switch {
 		case err == nil:
@@ -332,21 +339,20 @@ func (m *Manager) Run(ctx context.Context) error {
 
 // consume appends one batch and updates metrics and stats. The source
 // position after the batch is recorded with it (same staging mutex), so
-// any snapshot pairs the data with the cursor that produced it.
+// any snapshot pairs the data with the cursor that produced it. Its cost
+// is O(batch): the one staging lock returns every count the gauges and
+// the drift watch need.
 func (m *Manager) consume(events []Event) error {
-	entBefore, propBefore := m.st.Dims()
-	var touched int
-	var err error
+	var pos *SourcePosition
 	if m.pos != nil {
-		touched, err = m.st.AppendAt(events, m.pos.Position())
-	} else {
-		touched, err = m.st.Append(events)
+		p := m.pos.Position()
+		pos = &p
 	}
+	res, err := m.st.appendAt(events, pos)
 	if err != nil {
 		return err
 	}
-	entAfter, propAfter := m.st.Dims()
-	m.drift.Batch(events, entAfter-entBefore, propAfter-propBefore, time.Now())
+	m.drift.Batch(events, res.newEntities, res.newProperties, time.Now())
 	m.pending.Add(uint64(len(events)))
 	m.eventsTotal.Add(uint64(len(events)))
 	m.batchesTotal.Inc()
@@ -357,17 +363,20 @@ func (m *Manager) consume(events []Event) error {
 			newest = ev.Time
 		}
 	}
-	lag := time.Since(time.Unix(newest, 0)).Seconds()
-	m.feedLag.Set(lag)
-	m.stagedChanges.Set(float64(m.st.Stats().Changes))
-	m.dirtyFields.Set(float64(m.st.DirtyCount()))
 	m.mu.Lock()
+	if m.stats.Batches == 0 || newest > m.newestEvent {
+		m.newestEvent = newest
+	}
+	newest = m.newestEvent
 	m.stats.Batches++
 	m.stats.LastBatchEvents = len(events)
-	m.stats.LastEventTime = time.Unix(newest, 0).UTC().Format(time.RFC3339)
 	m.mu.Unlock()
+	lag := time.Since(time.Unix(newest, 0)).Seconds()
+	m.feedLag.Set(lag)
+	m.stagedChanges.Set(float64(res.changes))
+	m.dirtyFields.Set(float64(res.dirty))
 	m.logger.Debug("batch applied",
-		"events", len(events), "fields_touched", touched,
+		"events", len(events), "fields_touched", res.touched,
 		"pending", m.pending.Load(), "lag_seconds", lag)
 	if m.eventObserver != nil {
 		m.eventObserver(events)

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/core"
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/filter"
@@ -168,4 +170,167 @@ func TestManagerCancel(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after cancel")
 	}
+}
+
+// batchSource hands out fixed batches, then io.EOF.
+type batchSource struct {
+	batches [][]Event
+	next    int
+}
+
+func (s *batchSource) Next(ctx context.Context) ([]Event, error) {
+	if s.next == len(s.batches) {
+		return nil, io.EOF
+	}
+	s.next++
+	return s.batches[s.next-1], nil
+}
+
+// chunk splits events into consecutive batches whose sizes cycle through
+// sizes.
+func chunk(events []Event, sizes ...int) [][]Event {
+	var batches [][]Event
+	for i := 0; len(events) > 0; i++ {
+		n := min(sizes[i%len(sizes)], len(events))
+		batches = append(batches, events[:n])
+		events = events[n:]
+	}
+	return batches
+}
+
+// TestManagerBookkeepingMatchesStaging: after every batch of a replay in
+// uneven batches, the staged-changes and dirty-fields gauges equal what
+// Staging.Stats reports, and the drift watch has been fed the batch's
+// new-entity and new-property counts exactly as the cube's dimensions
+// grew (checked against a reference watch fed those deltas).
+func TestManagerBookkeepingMatchesStaging(t *testing.T) {
+	cube, _, err := dataset.Generate(dataset.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStaging(filter.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &batchSource{batches: chunk(CubeEvents(cube), 1, 17, 256, 3, 999, 64)}
+	m := NewManager(src, st, nil, Config{Train: core.DefaultConfig()})
+	ref := NewDriftWatch()
+	dims := func() (int, int) {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.cube.NumEntities(), st.cube.Properties.Len()
+	}
+	var ents, props, batches, snapshots int
+	m.SetEventObserver(func(events []Event) {
+		batches++
+		stats := st.Stats()
+		if got := int(m.stagedChanges.Value()); got != stats.Changes {
+			t.Fatalf("batch %d: staged-changes gauge %d, staging has %d", batches, got, stats.Changes)
+		}
+		if got := int(m.dirtyFields.Value()); got != stats.DirtyFields {
+			t.Fatalf("batch %d: dirty-fields gauge %d, staging has %d", batches, got, stats.DirtyFields)
+		}
+		e, p := dims()
+		ref.Batch(events, e-ents, p-props, time.Now())
+		ents, props = e, p
+		got, want := m.Drift().Stats(), ref.Stats()
+		if got.NewEntityEWMA != want.NewEntityEWMA || got.NewPropertyEWMA != want.NewPropertyEWMA {
+			t.Fatalf("batch %d: drift new-entity/new-property EWMAs %v/%v, cube dimensions give %v/%v",
+				batches, got.NewEntityEWMA, got.NewPropertyEWMA, want.NewEntityEWMA, want.NewPropertyEWMA)
+		}
+		// Reset the dirty set now and then, as a retrain would, so the
+		// gauge is checked on both sides of a snapshot.
+		if batches%7 == 0 {
+			if _, _, _, err := st.SnapshotDelta(); err == nil {
+				snapshots++
+			}
+		}
+	})
+	if err := m.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if batches != len(src.batches) {
+		t.Fatalf("observer saw %d batches, source sent %d", batches, len(src.batches))
+	}
+	if snapshots == 0 {
+		t.Fatal("no snapshot reset the dirty set; the dirty gauge was checked on one side only")
+	}
+	if ents != cube.NumEntities() || props != cube.Properties.Len() {
+		t.Fatalf("staged %d entities / %d properties, corpus has %d / %d",
+			ents, props, cube.NumEntities(), cube.Properties.Len())
+	}
+}
+
+// TestManagerLastEventTimeNeverRegresses: a batch of events older than
+// one already applied must not move LastEventTime (or the lag gauge and
+// FeedLag that derive from it) backwards.
+func TestManagerLastEventTimeNeverRegresses(t *testing.T) {
+	st, err := NewStaging(filter.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := func(times ...int64) []Event {
+		var out []Event
+		for _, tm := range times {
+			out = append(out, Event{Time: tm, Page: "Berlin", Template: "settlement", Property: "population", Value: "1", Kind: changecube.Update})
+		}
+		return out
+	}
+	src := &batchSource{batches: [][]Event{ev(5000, 6000), ev(2000, 1000), ev(7000), ev(3000), ev(6999, 4000)}}
+	m := NewManager(src, st, nil, Config{Train: core.DefaultConfig()})
+	if m.Stats().LastEventTime != "" || m.FeedLag() != 0 {
+		t.Fatal("event time reported before any batch")
+	}
+	var newest int64
+	m.SetEventObserver(func(events []Event) {
+		for _, e := range events {
+			newest = max(newest, e.Time)
+		}
+		want := time.Unix(newest, 0)
+		if got := m.Stats().LastEventTime; got != want.UTC().Format(time.RFC3339) {
+			t.Fatalf("LastEventTime %s after batch %v, newest applied is %d", got, events, newest)
+		}
+		// Both lags are wall-clock ages of the newest event: at most the
+		// age measured now, and not older by more than this test can take.
+		for name, lag := range map[string]float64{"gauge": m.feedLag.Value(), "FeedLag": m.FeedLag()} {
+			if since := time.Since(want).Seconds(); lag > since || lag < since-60 {
+				t.Fatalf("%s lag %.0fs, newest event is %.0fs old", name, lag, since)
+			}
+		}
+	})
+	if err := m.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if newest != 7000 {
+		t.Fatalf("observer saw newest %d", newest)
+	}
+}
+
+// BenchmarkManagerReplay replays the small generated corpus through a
+// Manager's consume path in DefaultBatchSize batches, with both retrain
+// triggers off (and no EOF flush, since Run is bypassed), and reports the
+// cost per event. A per-batch cost that grows with the staged corpus
+// shows here as ns/event rising with the corpus size.
+func BenchmarkManagerReplay(b *testing.B) {
+	cube, _, err := dataset.Generate(dataset.Small())
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := chunk(CubeEvents(cube), DefaultBatchSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := NewStaging(filter.Default())
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := NewManager(&batchSource{batches: batches}, st, nil, Config{Train: core.DefaultConfig()})
+		b.StartTimer()
+		for _, batch := range batches {
+			if err := m.consume(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cube.NumChanges()), "ns/event")
 }

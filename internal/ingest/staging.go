@@ -164,7 +164,8 @@ func NewStagingFromCubeAt(cube *changecube.Cube, cfg filter.Config, ordinals []i
 // returns the number of distinct fields the batch touched. An invalid
 // event fails the whole batch with nothing staged.
 func (st *Staging) Append(events []Event) (touched int, err error) {
-	return st.appendAt(events, nil)
+	res, err := st.appendAt(events, nil)
+	return res.touched, err
 }
 
 // AppendAt is Append plus a cursor update: pos is the feed position after
@@ -172,17 +173,30 @@ func (st *Staging) Append(events []Event) (touched int, err error) {
 // Snapshot never pairs a cube with a cursor from a different instant —
 // the atomicity the no-double-apply guarantee of resume rests on.
 func (st *Staging) AppendAt(events []Event, pos SourcePosition) (touched int, err error) {
-	return st.appendAt(events, &pos)
+	res, err := st.appendAt(events, &pos)
+	return res.touched, err
 }
 
-func (st *Staging) appendAt(events []Event, pos *SourcePosition) (touched int, err error) {
+// appendResult is everything the manager's per-batch bookkeeping needs
+// from one append, read under the mutex that staged the batch so the
+// manager never takes the lock a second time.
+type appendResult struct {
+	touched       int // distinct fields the batch touched
+	newEntities   int // infoboxes first seen in the batch
+	newProperties int // property names first seen in the batch
+	changes       int // raw staged changes after the batch
+	dirty         int // fields touched since the last SnapshotDelta
+}
+
+func (st *Staging) appendAt(events []Event, pos *SourcePosition) (appendResult, error) {
 	for i, ev := range events {
 		if err := ev.Validate(); err != nil {
-			return 0, fmt.Errorf("ingest: event %d: %w", i, err)
+			return appendResult{}, fmt.Errorf("ingest: event %d: %w", i, err)
 		}
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	entBefore, propBefore := st.cube.NumEntities(), st.cube.Properties.Len()
 	dirty := make(map[changecube.FieldKey]*fieldBuf)
 	for _, ev := range events {
 		key := st.stage(ev)
@@ -196,7 +210,13 @@ func (st *Staging) appendAt(events []Event, pos *SourcePosition) (touched int, e
 	if pos != nil {
 		st.cursor = *pos
 	}
-	return len(dirty), nil
+	return appendResult{
+		touched:       len(dirty),
+		newEntities:   st.cube.NumEntities() - entBefore,
+		newProperties: st.cube.Properties.Len() - propBefore,
+		changes:       st.cube.NumChanges(),
+		dirty:         len(st.dirty),
+	}, nil
 }
 
 // stage interns one event into the cube and its field buffer. Caller holds
@@ -373,16 +393,6 @@ type StagingStats struct {
 	SpanEnd   string `json:"span_end,omitempty"`
 }
 
-// Dims reports the corpus dimensions — entities and distinct
-// properties — in one mutex acquisition. The drift watch reads it
-// before and after an append to turn a batch into new-entity /
-// new-property deltas.
-func (st *Staging) Dims() (entities, properties int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.cube.NumEntities(), st.cube.Properties.Len()
-}
-
 // DirtyCount reports the number of fields touched since the last
 // successful SnapshotDelta (backs the wikistale_staging_dirty_fields
 // gauge).
@@ -392,7 +402,9 @@ func (st *Staging) DirtyCount() int {
 	return len(st.dirty)
 }
 
-// Stats returns the current staging summary.
+// Stats returns the current staging summary. It walks every staged field
+// under the mutex to find the day span, so its cost grows with the corpus:
+// it is meant for status surfaces, never for per-batch bookkeeping.
 func (st *Staging) Stats() StagingStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
