@@ -14,6 +14,7 @@ import (
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/core"
 	"github.com/wikistale/wikistale/internal/obs"
+	"github.com/wikistale/wikistale/internal/obs/ring"
 	"github.com/wikistale/wikistale/internal/obs/trace"
 )
 
@@ -30,9 +31,12 @@ type Config struct {
 	// RetrainChanges triggers a retrain once this many events accumulated
 	// since the last one (0 disables the count trigger).
 	RetrainChanges int
-	// Incremental reuses the previous detector's correlation rules for
-	// pages untouched since the last successful retrain (bit-identical to
-	// a cold retrain; see correlation.TrainIncremental).
+	// Incremental lets every model stage reuse the previous detector's
+	// work for what is untouched since the last successful retrain:
+	// correlation rules per page, association rules per template,
+	// seasonal anchors and thresholds per field, family correlations per
+	// family (bit-identical to a cold retrain; see core.TrainHints).
+	// False forces a full rebuild of every stage on every retrain.
 	Incremental bool
 	// FullRebuildEvery forces a full page search after this many
 	// consecutive incremental retrains — the escape hatch against
@@ -97,8 +101,8 @@ type Stats struct {
 	// LastRetrainSeconds is the duration of the last successful retrain.
 	LastRetrainSeconds float64 `json:"last_retrain_seconds,omitempty"`
 	// RetrainsIncremental and RetrainsFull break successful retrains down
-	// by correlation-training mode (only populated when Config.Incremental
-	// is set; full counts cold starts and forced rebuilds).
+	// by correlation-training mode; full counts cold starts, forced
+	// rebuilds, and every retrain when Config.Incremental is off.
 	RetrainsIncremental uint64 `json:"retrains_incremental,omitempty"`
 	RetrainsFull        uint64 `json:"retrains_full,omitempty"`
 	// LastRetrainPagesReused / LastRetrainPagesRetrained is the page
@@ -161,6 +165,9 @@ type Manager struct {
 
 	mu    sync.Mutex
 	stats Stats
+	// retrains is the bounded history behind Stats().RecentRetrains;
+	// pushed under mu so it always agrees with the stats counters.
+	retrains *ring.Ring[RetrainRecord]
 	// newestEvent is the newest event time applied so far (Unix seconds;
 	// meaningful once stats.Batches > 0). It only moves forward, so a
 	// batch of older events never makes the feed lag jump up.
@@ -201,6 +208,7 @@ func NewManager(src Source, st *Staging, swap func(*core.Detector), cfg Config) 
 		cfg:            cfg,
 		swap:           swap,
 		drift:          NewDriftWatch(),
+		retrains:       ring.New[RetrainRecord](recentRetrainCap),
 		logger:         slog.Default(),
 		eventsTotal:    reg.Counter("wikistale_ingest_events_total", nil),
 		batchesTotal:   reg.Counter("wikistale_ingest_batches_total", nil),
@@ -243,13 +251,7 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
-	if n := len(m.stats.RecentRetrains); n > 0 {
-		// Copy newest-first so callers never alias the mutable ring.
-		s.RecentRetrains = make([]RetrainRecord, n)
-		for i, r := range m.stats.RecentRetrains {
-			s.RecentRetrains[n-1-i] = r
-		}
-	}
+	s.RecentRetrains = m.retrains.Newest()
 	if s.Batches > 0 {
 		newest := time.Unix(m.newestEvent, 0)
 		s.LastEventTime = newest.UTC().Format(time.RFC3339)
@@ -430,7 +432,7 @@ func (m *Manager) retrainLocked(trigger string) {
 		m.mu.Lock()
 		m.stats.RetrainErrors++
 		m.stats.LastError = err.Error()
-		m.pushRetrainLocked(rec)
+		m.retrains.Push(rec)
 		m.mu.Unlock()
 		m.logger.LogAttrs(ctx, slog.LevelWarn, "retrain failed",
 			slog.String("trigger", trigger),
@@ -438,15 +440,13 @@ func (m *Manager) retrainLocked(trigger string) {
 			slog.String("error", err.Error()))
 		return
 	}
+	inc := det.CorrelationRetrain()
 	rec.Mode = "full"
-	if m.cfg.Incremental {
-		inc := det.CorrelationRetrain()
-		if !inc.Full {
-			rec.Mode = "incremental"
-		}
-		rec.PagesReused = inc.PagesReused
-		rec.PagesRetrained = inc.PagesRetrained
+	if !inc.Full {
+		rec.Mode = "incremental"
 	}
+	rec.PagesReused = inc.PagesReused
+	rec.PagesRetrained = inc.PagesRetrained
 	root.SetAttr("mode", rec.Mode)
 	root.End()
 	m.retrainSeconds.Observe(elapsed.Seconds())
@@ -455,16 +455,14 @@ func (m *Manager) retrainLocked(trigger string) {
 	m.stats.Retrains++
 	m.stats.LastRetrainSeconds = elapsed.Seconds()
 	m.stats.LastError = ""
-	if m.cfg.Incremental {
-		if rec.Mode == "full" {
-			m.stats.RetrainsFull++
-		} else {
-			m.stats.RetrainsIncremental++
-		}
-		m.stats.LastRetrainPagesReused = rec.PagesReused
-		m.stats.LastRetrainPagesRetrained = rec.PagesRetrained
+	if inc.Full {
+		m.stats.RetrainsFull++
+	} else {
+		m.stats.RetrainsIncremental++
 	}
-	m.pushRetrainLocked(rec)
+	m.stats.LastRetrainPagesReused = rec.PagesReused
+	m.stats.LastRetrainPagesRetrained = rec.PagesRetrained
+	m.retrains.Push(rec)
 	m.mu.Unlock()
 	m.logger.LogAttrs(ctx, slog.LevelInfo, "retrain done",
 		slog.String("trigger", trigger),
@@ -488,32 +486,15 @@ func (m *Manager) retrainLocked(trigger string) {
 	}
 }
 
-// pushRetrainLocked appends one attempt to the bounded history (oldest
-// evicted first). Caller holds m.mu.
-func (m *Manager) pushRetrainLocked(r RetrainRecord) {
-	rr := m.stats.RecentRetrains
-	if len(rr) >= recentRetrainCap {
-		copy(rr, rr[1:])
-		rr = rr[:len(rr)-1]
-	}
-	m.stats.RecentRetrains = append(rr, r)
-}
-
-// train builds a detector from the current staging snapshot. In
-// incremental mode it threads the dirty-field delta and the last good
-// detector into the trainer; dirty fields consumed from staging are
-// carried across failed attempts so no delta is ever lost. Caller holds
-// retrainMu.
+// train builds a detector from the current staging snapshot, threading
+// the dirty-field delta and the last good detector into the trainer so
+// every stage can reuse what is untouched; with Config.Incremental off,
+// or every FullRebuildEvery retrains, ForceFull rebuilds every stage.
+// Dirty fields consumed from staging are carried across failed attempts
+// so no delta is ever lost. Caller holds retrainMu.
 func (m *Manager) train(ctx context.Context) (*core.Detector, error) {
 	ctx, span := obs.StartSpanCtx(ctx, "ingest/retrain")
 	defer span.End()
-	if !m.cfg.Incremental {
-		hs, stats, err := m.st.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		return core.TrainFilteredHintedCtx(ctx, hs, stats, m.cfg.Train, core.TrainHints{})
-	}
 	hs, stats, dirty, err := m.st.SnapshotDelta()
 	if err != nil {
 		return nil, err
@@ -524,7 +505,8 @@ func (m *Manager) train(ctx context.Context) (*core.Detector, error) {
 	for f := range dirty {
 		m.dirtyCarry[f] = true
 	}
-	forceFull := m.cfg.FullRebuildEvery > 0 && m.sinceFull >= m.cfg.FullRebuildEvery
+	forceFull := !m.cfg.Incremental ||
+		(m.cfg.FullRebuildEvery > 0 && m.sinceFull >= m.cfg.FullRebuildEvery)
 	det, err := core.TrainFilteredHintedCtx(ctx, hs, stats, m.cfg.Train, core.TrainHints{
 		Incremental: true,
 		Prev:        m.lastGood,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
 	"testing"
 	"time"
@@ -196,6 +197,72 @@ func chunk(events []Event, sizes ...int) [][]Event {
 		events = events[n:]
 	}
 	return batches
+}
+
+// TestManagerFullModeDrainsDirtySet: with Incremental off every retrain
+// is a full rebuild, yet it must still take the dirty set from staging,
+// so the set (and its gauge) drains instead of growing to every field
+// ever touched, and the stats count each retrain as full.
+func TestManagerFullModeDrainsDirtySet(t *testing.T) {
+	cube, _, err := dataset.Generate(dataset.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStaging(filter.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &swapRecorder{}
+	m := NewManager(NewStream(cube), st, rec.swap, Config{
+		Train:          core.DefaultConfig(),
+		RetrainChanges: cube.NumChanges() / 12,
+		Incremental:    false,
+	})
+	if err := m.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	stats := m.Stats()
+	if stats.Retrains < 2 {
+		t.Fatalf("%d retrains, want the count trigger to fire mid-stream", stats.Retrains)
+	}
+	if n := st.DirtyCount(); n != 0 || stats.Staging.DirtyFields != 0 || m.dirtyFields.Value() != 0 {
+		t.Fatalf("dirty set not drained: staging %d, stats %d, gauge %v",
+			n, stats.Staging.DirtyFields, m.dirtyFields.Value())
+	}
+	if stats.RetrainsFull != stats.Retrains || stats.RetrainsIncremental != 0 {
+		t.Fatalf("retrains %d: %d full, %d incremental; want all full",
+			stats.Retrains, stats.RetrainsFull, stats.RetrainsIncremental)
+	}
+	for _, r := range stats.RecentRetrains {
+		if r.Error == "" && r.Mode != "full" {
+			t.Fatalf("retrain %+v: mode %q, want full", r, r.Mode)
+		}
+	}
+}
+
+// TestManagerRecentRetrainsEvictOldest records more retrain attempts than
+// the history keeps: Stats lists the newest recentRetrainCap, newest
+// first, while the counters include every attempt.
+func TestManagerRecentRetrainsEvictOldest(t *testing.T) {
+	st, err := NewStaging(filter.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(&batchSource{}, st, nil, Config{Train: core.DefaultConfig()})
+	m.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	const n = recentRetrainCap + 4
+	for i := 0; i < n; i++ {
+		m.retrain(fmt.Sprintf("t%02d", i)) // empty staging: every attempt fails
+	}
+	stats := m.Stats()
+	if stats.RetrainErrors != n || len(stats.RecentRetrains) != recentRetrainCap {
+		t.Fatalf("%d attempts, %d kept; want %d, %d", stats.RetrainErrors, len(stats.RecentRetrains), n, recentRetrainCap)
+	}
+	for i, r := range stats.RecentRetrains {
+		if want := fmt.Sprintf("t%02d", n-1-i); r.Trigger != want || r.Error == "" {
+			t.Fatalf("recent_retrains[%d] = %+v, want the failed %s attempt (newest first)", i, r, want)
+		}
+	}
 }
 
 // TestManagerBookkeepingMatchesStaging: after every batch of a replay in

@@ -22,6 +22,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"github.com/wikistale/wikistale/internal/obs/ring"
 )
 
 // Kind is the profile type captured.
@@ -47,7 +49,7 @@ type Profile struct {
 // Ring is a bounded buffer of captured profiles. All methods are safe
 // for concurrent use.
 type Ring struct {
-	capacity int
+	profiles *ring.Ring[Profile]
 	cooldown time.Duration
 	// CPUDuration is the CPU profile sampling window (default 1s); tests
 	// shorten it. Set before the first capture.
@@ -56,7 +58,6 @@ type Ring struct {
 	now func() time.Time
 
 	mu          sync.Mutex
-	profiles    []Profile // newest last
 	nextID      uint64
 	lastCapture time.Time
 	capturing   bool
@@ -66,11 +67,8 @@ type Ring struct {
 // New returns a ring holding the most recent capacity profiles, refusing
 // captures closer together than cooldown.
 func New(capacity int, cooldown time.Duration) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &Ring{
-		capacity:    capacity,
+		profiles:    ring.New[Profile](capacity),
 		cooldown:    cooldown,
 		CPUDuration: time.Second,
 		now:         time.Now,
@@ -103,7 +101,7 @@ func (r *Ring) TryCapture(kind Kind, reason string) (bool, error) {
 	r.capturing = false
 	if err == nil {
 		r.nextID++
-		p := Profile{
+		r.profiles.Push(Profile{
 			ID:         r.nextID,
 			Kind:       kind,
 			Reason:     reason,
@@ -111,11 +109,7 @@ func (r *Ring) TryCapture(kind Kind, reason string) (bool, error) {
 			DurationNS: dur.Nanoseconds(),
 			Bytes:      len(data),
 			Data:       data,
-		}
-		r.profiles = append(r.profiles, p)
-		if len(r.profiles) > r.capacity {
-			r.profiles = r.profiles[len(r.profiles)-r.capacity:]
-		}
+		})
 	}
 	r.mu.Unlock()
 	if err != nil {
@@ -152,27 +146,25 @@ func (r *Ring) capture(kind Kind) ([]byte, time.Duration, error) {
 
 // Profiles lists the buffered captures, newest first, without data.
 func (r *Ring) Profiles() []Profile {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Profile, 0, len(r.profiles))
-	for i := len(r.profiles) - 1; i >= 0; i-- {
-		p := r.profiles[i]
-		p.Data = nil
-		out = append(out, p)
+	out := r.profiles.Newest()
+	for i := range out {
+		out[i].Data = nil
 	}
 	return out
 }
 
+// Len reports the number of buffered captures.
+func (r *Ring) Len() int { return r.profiles.Len() }
+
 // Get returns the full profile for an ID, if still buffered.
-func (r *Ring) Get(id uint64) (Profile, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, p := range r.profiles {
-		if p.ID == id {
-			return p, true
+func (r *Ring) Get(id uint64) (p Profile, found bool) {
+	r.profiles.Each(func(q *Profile) bool {
+		if q.ID == id {
+			p, found = *q, true
 		}
-	}
-	return Profile{}, false
+		return !found
+	})
+	return p, found
 }
 
 // Skipped counts TryCapture calls refused by the in-progress guard or

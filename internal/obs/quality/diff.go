@@ -1,9 +1,6 @@
 package quality
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Epoch diffing: at swap time the serving layer renders the outgoing and
 // incoming epochs' rule sets into RuleSets values (plain string keys —
@@ -151,50 +148,4 @@ func Diff(prev, next RuleSets, shiftEps float64) EpochDiff {
 	d.AlertsEnteredSample = sortTrim(entered)
 	d.AlertsLeftSample = sortTrim(left)
 	return d
-}
-
-// Ring is the bounded last-N diff history behind GET /debug/epochdiff.
-// Safe for concurrent use.
-type Ring struct {
-	mu    sync.Mutex
-	cap   int
-	diffs []EpochDiff
-}
-
-// NewRing builds a ring keeping the last n diffs (n <= 0 selects
-// DefaultRingCap).
-func NewRing(n int) *Ring {
-	if n <= 0 {
-		n = DefaultRingCap
-	}
-	return &Ring{cap: n}
-}
-
-// Push appends one diff, evicting the oldest past the cap.
-func (r *Ring) Push(d EpochDiff) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.diffs) >= r.cap {
-		copy(r.diffs, r.diffs[1:])
-		r.diffs = r.diffs[:len(r.diffs)-1]
-	}
-	r.diffs = append(r.diffs, d)
-}
-
-// Snapshot returns the buffered diffs newest first.
-func (r *Ring) Snapshot() []EpochDiff {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]EpochDiff, len(r.diffs))
-	for i, d := range r.diffs {
-		out[len(r.diffs)-1-i] = d
-	}
-	return out
-}
-
-// Len returns the number of buffered diffs.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.diffs)
 }

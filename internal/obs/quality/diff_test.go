@@ -75,19 +75,3 @@ func TestDiffDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestRingEvictsOldestNewestFirst(t *testing.T) {
-	r := NewRing(3)
-	for i := uint64(1); i <= 5; i++ {
-		r.Push(EpochDiff{ToSeq: i})
-	}
-	got := r.Snapshot()
-	if len(got) != 3 || r.Len() != 3 {
-		t.Fatalf("ring holds %d diffs, want 3", len(got))
-	}
-	for i, want := range []uint64{5, 4, 3} {
-		if got[i].ToSeq != want {
-			t.Fatalf("snapshot[%d].ToSeq = %d, want %d (newest first)", i, got[i].ToSeq, want)
-		}
-	}
-}

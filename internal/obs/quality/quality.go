@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"github.com/wikistale/wikistale/internal/obs"
+	"github.com/wikistale/wikistale/internal/obs/ring"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
 
@@ -158,7 +159,7 @@ type Scorer struct {
 	families   map[string]*outcomeCounts
 	tracked    uint64 // alerts ever registered
 	dropped    uint64 // registrations refused by the cap
-	recent     []Outcome
+	recent     *ring.Ring[Outcome]
 
 	pendingGauge   *obs.Gauge
 	trackedTotal   *obs.Counter
@@ -184,6 +185,7 @@ func New(horizonDays int) *Scorer {
 		maxPending:     DefaultMaxPending,
 		pend:           make(map[string]*pending),
 		families:       make(map[string]*outcomeCounts),
+		recent:         ring.New[Outcome](recentCap),
 		pendingGauge:   reg.Gauge("wikistale_quality_alerts_pending", nil),
 		trackedTotal:   reg.Counter("wikistale_quality_alerts_tracked_total", nil),
 		droppedTotal:   reg.Counter("wikistale_quality_alerts_dropped_total", nil),
@@ -313,7 +315,7 @@ func (s *Scorer) scoreLocked(p *pending, outcome string, day int32) {
 		reg.Gauge("wikistale_quality_online_precision", obs.Labels{"family": fam}).Set(fc.precision())
 	}
 	s.precisionGauge.Set(s.overall.precision())
-	out := Outcome{
+	s.recent.Push(Outcome{
 		Page:     p.page,
 		Property: p.prop,
 		Outcome:  outcome,
@@ -321,12 +323,7 @@ func (s *Scorer) scoreLocked(p *pending, outcome string, day int32) {
 		Day:      dayString(day),
 		Epoch:    p.epoch,
 		Families: p.families,
-	}
-	if len(s.recent) >= recentCap {
-		copy(s.recent, s.recent[1:])
-		s.recent = s.recent[:len(s.recent)-1]
-	}
-	s.recent = append(s.recent, out)
+	})
 }
 
 // ScopeReport is one scope's scored totals plus the precision proxy.
@@ -399,12 +396,7 @@ func (s *Scorer) Snapshot() Report {
 			},
 		})
 	}
-	if n := len(s.recent); n > 0 {
-		r.Recent = make([]Outcome, n)
-		for i, o := range s.recent {
-			r.Recent[n-1-i] = o // newest first
-		}
-	}
+	r.Recent = s.recent.Newest()
 	return r
 }
 
@@ -483,8 +475,11 @@ func (s *Scorer) MarshalBinary() []byte {
 		}
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(s.recent)))
-	for _, o := range s.recent {
+	// Oldest first, so Restore's pushes rebuild the same ring.
+	recent := s.recent.Newest()
+	buf = binary.AppendUvarint(buf, uint64(len(recent)))
+	for i := len(recent) - 1; i >= 0; i-- {
+		o := recent[i]
 		buf = appendStr(buf, o.Page)
 		buf = appendStr(buf, o.Property)
 		buf = appendStr(buf, o.Outcome)
@@ -600,7 +595,7 @@ func (s *Scorer) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	var recent []Outcome
+	recent := ring.New[Outcome](recentCap)
 	for i := 0; i < nrec; i++ {
 		var o Outcome
 		if o.Page, err = r.str("recent page"); err != nil {
@@ -632,7 +627,7 @@ func (s *Scorer) Restore(data []byte) error {
 			}
 			o.Families = append(o.Families, fam)
 		}
-		recent = append(recent, o)
+		recent.Push(o)
 	}
 	if r.pos != len(data) {
 		return fmt.Errorf("quality: state: %d trailing bytes", len(data)-r.pos)

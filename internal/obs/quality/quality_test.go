@@ -3,6 +3,7 @@ package quality
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -205,5 +206,40 @@ func TestScorerSweepDeterministic(t *testing.T) {
 	a, b := build().MarshalBinary(), build().MarshalBinary()
 	if !bytes.Equal(a, b) {
 		t.Fatal("sweep order is nondeterministic")
+	}
+}
+
+// TestScorerRecentEvictsOldest scores more outcomes than the recent ring
+// keeps: the report lists the newest recentCap, newest first, and a
+// wrapped ring still round-trips through MarshalBinary/Restore.
+func TestScorerRecentEvictsOldest(t *testing.T) {
+	const n = recentCap + 8
+	s := New(5)
+	alerts := make([]PendingAlert, n)
+	for i := range alerts {
+		alerts[i] = PendingAlert{Page: fmt.Sprintf("P%02d", i), Property: "x"}
+	}
+	s.BeginEpoch(1, 10, alerts)
+	s.Observe("Z", "z", 40) // expires all n, in sorted key order
+	r := s.Snapshot()
+	if r.Overall.Expired != n || len(r.Recent) != recentCap {
+		t.Fatalf("expired %d, recent %d; want %d, %d", r.Overall.Expired, len(r.Recent), n, recentCap)
+	}
+	for i, o := range r.Recent {
+		if want := fmt.Sprintf("P%02d", n-1-i); o.Page != want {
+			t.Fatalf("recent[%d].page = %q, want %q (newest first)", i, o.Page, want)
+		}
+	}
+
+	state := s.MarshalBinary()
+	restored := New(5)
+	if err := restored.Restore(state); err != nil {
+		t.Fatal(err)
+	}
+	if again := restored.MarshalBinary(); !bytes.Equal(state, again) {
+		t.Fatal("wrapped recent ring: restore → marshal not bit-identical")
+	}
+	if got := restored.Snapshot().Recent; !reflect.DeepEqual(got, r.Recent) {
+		t.Fatalf("restored recent ring %v, want %v", got, r.Recent)
 	}
 }

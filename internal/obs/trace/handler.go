@@ -24,7 +24,7 @@ type tracesResponse struct {
 // Filters apply before limit.
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		traces := r.Traces()
+		traces := r.Newest()
 		if id := req.URL.Query().Get("trace_id"); id != "" {
 			for _, t := range traces {
 				if t.TraceID == id {

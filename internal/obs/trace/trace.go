@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/wikistale/wikistale/internal/obs/ring"
 )
 
 // DefaultCapacity is the ring size of the Default recorder: enough recent
@@ -244,77 +246,31 @@ func (s *Span) End() time.Duration {
 	rec := b.rec
 	b.mu.Unlock()
 	if rec != nil {
-		rec.record(t)
+		rec.Push(t)
 	}
 	return d
 }
 
-// Recorder is a bounded ring buffer of completed traces.
+// Recorder is a bounded ring of completed traces: Newest, Len and Total
+// come from the embedded ring.Ring.
 type Recorder struct {
-	mu    sync.Mutex
-	cap   int
-	buf   []Trace
-	next  int
-	total uint64
+	*ring.Ring[Trace]
 }
 
 // New returns a recorder keeping the most recent capacity traces.
 func New(capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Recorder{cap: capacity}
-}
-
-func (r *Recorder) record(t Trace) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.total++
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, t)
-		return
-	}
-	r.buf[r.next] = t
-	r.next = (r.next + 1) % r.cap
+	return &Recorder{ring.New[Trace](capacity)}
 }
 
 // addDropped bumps the dropped-span count of a published trace still in
 // the buffer (spans that ended after their root froze the trace).
 func (r *Recorder) addDropped(traceID uint64) {
 	id := formatID(traceID)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.buf {
-		if r.buf[i].TraceID == id {
-			r.buf[i].DroppedSpans++
-			return
+	r.Each(func(t *Trace) bool {
+		if t.TraceID != id {
+			return true
 		}
-	}
-}
-
-// Traces returns the buffered traces, newest first.
-func (r *Recorder) Traces() []Trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Trace, 0, len(r.buf))
-	// The ring holds [next, len) older entries then [0, next) newer ones;
-	// walk backwards from the newest.
-	for i := len(r.buf) - 1; i >= 0; i-- {
-		out = append(out, r.buf[(r.next+i)%len(r.buf)])
-	}
-	return out
-}
-
-// Len reports the number of buffered traces.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// Total reports how many traces were ever recorded (including evicted).
-func (r *Recorder) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+		t.DroppedSpans++
+		return false
+	})
 }

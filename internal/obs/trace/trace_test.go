@@ -20,7 +20,7 @@ func TestSpanTreeLinks(t *testing.T) {
 	root.SetAttr("route", "/test")
 	root.End()
 
-	traces := rec.Traces()
+	traces := rec.Newest()
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
@@ -78,7 +78,7 @@ func TestRingEviction(t *testing.T) {
 	if rec.Total() != 5 {
 		t.Fatalf("total = %d, want 5", rec.Total())
 	}
-	traces := rec.Traces()
+	traces := rec.Newest()
 	// Newest first: attrs i=4 then i=3.
 	want := []int{4, 3}
 	for j, tr := range traces {
@@ -100,7 +100,7 @@ func TestEndIsIdempotent(t *testing.T) {
 	if rec.Len() != 1 {
 		t.Fatalf("len = %d, want 1", rec.Len())
 	}
-	if n := len(rec.Traces()[0].Spans); n != 2 {
+	if n := len(rec.Newest()[0].Spans); n != 2 {
 		t.Fatalf("spans = %d, want 2", n)
 	}
 }
@@ -111,7 +111,7 @@ func TestLateChildDropped(t *testing.T) {
 	_, child := Start(ctx, "late")
 	root.End()
 	child.End() // after the trace froze
-	tr := rec.Traces()[0]
+	tr := rec.Newest()[0]
 	if len(tr.Spans) != 1 || tr.DroppedSpans != 1 {
 		t.Fatalf("spans=%d dropped=%d, want 1/1", len(tr.Spans), tr.DroppedSpans)
 	}
@@ -131,7 +131,7 @@ func TestConcurrentChildren(t *testing.T) {
 	}
 	wg.Wait()
 	root.End()
-	tr := rec.Traces()[0]
+	tr := rec.Newest()[0]
 	if len(tr.Spans) != 33 {
 		t.Fatalf("spans = %d, want 33", len(tr.Spans))
 	}

@@ -3,7 +3,6 @@ package staleserve
 import (
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/wikistale/wikistale/internal/obs/trace"
@@ -31,54 +30,9 @@ type AuditEntry struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// auditLog is a bounded ring of recent positive predictions.
-type auditLog struct {
-	mu    sync.Mutex
-	cap   int
-	buf   []AuditEntry
-	next  int
-	total uint64
-}
-
-func newAuditLog(capacity int) *auditLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &auditLog{cap: capacity}
-}
-
-func (l *auditLog) add(e AuditEntry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.total++
-	if len(l.buf) < l.cap {
-		l.buf = append(l.buf, e)
-		return
-	}
-	l.buf[l.next] = e
-	l.next = (l.next + 1) % l.cap
-}
-
-// entries returns the buffered entries, newest first.
-func (l *auditLog) entries() []AuditEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]AuditEntry, 0, len(l.buf))
-	for i := len(l.buf) - 1; i >= 0; i-- {
-		out = append(out, l.buf[(l.next+i)%len(l.buf)])
-	}
-	return out
-}
-
-func (l *auditLog) totals() (buffered int, total uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf), l.total
-}
-
 // recordAudit appends one positive verdict served to a client.
 func (s *Server) recordAudit(r *http.Request, ep *epoch, page, property string, asOf timeline.Day, window int, summary string) {
-	s.audit.add(AuditEntry{
+	s.audit.Push(AuditEntry{
 		Time:     time.Now(),
 		Route:    routeLabel(r.URL.Path),
 		Page:     page,
@@ -94,15 +48,14 @@ func (s *Server) recordAudit(r *http.Request, ep *epoch, page, property string, 
 // handleAudit serves the recent positive predictions, newest first.
 // ?limit=N truncates the list.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	entries := s.audit.entries()
+	entries := s.audit.Newest()
 	if v := r.URL.Query().Get("limit"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n >= 0 && n < len(entries) {
 			entries = entries[:n]
 		}
 	}
-	_, total := s.audit.totals()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"total":   total,
+		"total":   s.audit.Total(),
 		"entries": entries,
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/wikistale/wikistale/internal/obs/quality"
+	"github.com/wikistale/wikistale/internal/obs/ring"
 )
 
 // Model-quality observability glue: this file renders epochs into the
@@ -28,7 +29,7 @@ func (s *Server) QualityScorer() *quality.Scorer { return s.scorer }
 
 // DiffRing returns the epoch-diff ring (always non-nil; /debug/epochdiff
 // serves it).
-func (s *Server) DiffRing() *quality.Ring { return s.diffRing }
+func (s *Server) DiffRing() *ring.Ring[quality.EpochDiff] { return s.diffRing }
 
 // buildRuleSets renders one epoch's diffable surface: correlation rules,
 // association rules, and the default-window alert set, all keyed by
@@ -146,7 +147,7 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 // handleEpochDiff serves the bounded last-N epoch-diff ring, newest
 // first.
 func (s *Server) handleEpochDiff(w http.ResponseWriter, r *http.Request) {
-	diffs := s.diffRing.Snapshot()
+	diffs := s.diffRing.Newest()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"count": len(diffs),
 		"diffs": diffs,

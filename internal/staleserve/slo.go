@@ -153,7 +153,7 @@ type sloResponse struct {
 func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 	resp := sloResponse{
 		Report:           s.slo.Snapshot(),
-		ProfilesBuffered: len(s.profiles.Profiles()),
+		ProfilesBuffered: s.profiles.Len(),
 	}
 	if nanos := s.swapNanos.Load(); nanos > 0 {
 		resp.EpochAgeSeconds = time.Since(time.Unix(0, nanos)).Seconds()

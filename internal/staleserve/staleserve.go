@@ -47,6 +47,7 @@ import (
 	"github.com/wikistale/wikistale/internal/obs/olog"
 	"github.com/wikistale/wikistale/internal/obs/profilering"
 	"github.com/wikistale/wikistale/internal/obs/quality"
+	"github.com/wikistale/wikistale/internal/obs/ring"
 	"github.com/wikistale/wikistale/internal/obs/runtimestats"
 	"github.com/wikistale/wikistale/internal/obs/slo"
 	"github.com/wikistale/wikistale/internal/obs/trace"
@@ -108,7 +109,7 @@ type Server struct {
 	reg    *obs.Registry
 	tracer *trace.Recorder
 	logger *slog.Logger
-	audit  *auditLog
+	audit  *ring.Ring[AuditEntry]
 
 	// ep is nil until the first Swap (live cold start); handlers answer
 	// 503 in that state.
@@ -154,7 +155,7 @@ type Server struct {
 	// SetQualityScorer); diffRing is the bounded epoch-diff history behind
 	// /debug/epochdiff (always present).
 	scorer   *quality.Scorer
-	diffRing *quality.Ring
+	diffRing *ring.Ring[quality.EpochDiff]
 }
 
 // NewLive constructs a server with no detector yet: every data endpoint
@@ -170,12 +171,12 @@ func NewLive() *Server {
 		reg:      obs.Default,
 		tracer:   trace.Default,
 		logger:   slog.Default(),
-		audit:    newAuditLog(auditLogSize),
+		audit:    ring.New[AuditEntry](auditLogSize),
 		started:  time.Now(),
 		slo:      slo.New(DefaultSLOs(), DefaultSLOWindows(), DefaultTripPolicy()),
 		profiles: profilering.New(profileRingSize, profileCooldown),
 		rtstats:  runtimestats.New(obs.Default, 10*time.Second),
-		diffRing: quality.NewRing(quality.DefaultRingCap),
+		diffRing: ring.New[quality.EpochDiff](quality.DefaultRingCap),
 	}
 
 	s.reg.SetHelp("wikistale_http_requests_total", "HTTP requests served, by route and method.")

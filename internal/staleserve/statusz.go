@@ -80,8 +80,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 
 	fmt.Fprintf(w, "alert cache: %d hits, %d misses, %d waits\n",
 		s.cacheHits.Value(), s.cacheMisses.Value(), s.cacheWaits.Value())
-	buffered, total := s.audit.totals()
-	fmt.Fprintf(w, "audit log:   %d positive verdicts served (%d buffered; /v1/audit)\n", total, buffered)
+	fmt.Fprintf(w, "audit log:   %d positive verdicts served (%d buffered; /v1/audit)\n", s.audit.Total(), s.audit.Len())
 	fmt.Fprintf(w, "traces:      %d recorded (%d buffered; /debug/traces)\n",
 		s.tracer.Total(), s.tracer.Len())
 	fmt.Fprintf(w, "\n")
@@ -166,11 +165,12 @@ func (s *Server) writeSLOStatus(w io.Writer) {
 				ws.Window, ws.Total, ws.Bad, 100*ws.BadFraction, ws.BurnRate)
 		}
 	}
-	profiles := s.profiles.Profiles()
+	n := s.profiles.Len()
 	fmt.Fprintf(w, "  trips: %d; profiles captured: %d buffered (/debug/profiles)\n",
-		rep.TripsTotal, len(profiles))
-	if len(profiles) > 0 {
-		p := profiles[0]
+		rep.TripsTotal, n)
+	if n > 0 {
+		// The ring never shrinks, so it still holds a profile.
+		p := s.profiles.Profiles()[0]
 		fmt.Fprintf(w, "  newest profile: #%d %s (%s) at %s\n",
 			p.ID, p.Kind, p.Reason, p.Taken.Format(time.RFC3339))
 	}

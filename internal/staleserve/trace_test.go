@@ -72,7 +72,7 @@ func TestTracePropagationSingleflight(t *testing.T) {
 	var staleTraces []trace.Trace
 	for range 200 {
 		staleTraces = staleTraces[:0]
-		for _, tr := range rec.Traces() {
+		for _, tr := range rec.Newest() {
 			if tr.Root == "/v1/stale" {
 				staleTraces = append(staleTraces, tr)
 			}
