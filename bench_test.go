@@ -8,6 +8,7 @@ package wikistale_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -442,8 +443,9 @@ func BenchmarkIngestDailyBatch(b *testing.B) {
 // BenchmarkLiveRetrain measures the live path's retrain-to-swap latency
 // after a small daily delta: the full TrainFiltered pipeline over a warm
 // staging snapshot, comparing a forced full rebuild against the
-// incremental path that reuses untouched pages' correlation rules. Both
-// produce bit-identical detectors (see TestIncrementalRetrainEquivalence).
+// incremental path, which derives the delta from the previous detector's
+// histories and reuses every stage's work outside it. Both produce
+// bit-identical detectors (see TestIncrementalRetrainEquivalence).
 func BenchmarkLiveRetrain(b *testing.B) {
 	c := corpus(b)
 	st, err := ingest.NewStagingFromCube(c.Cube, c.CoreCfg.Filter)
@@ -480,10 +482,11 @@ func BenchmarkLiveRetrain(b *testing.B) {
 	if _, err := st.Append(events); err != nil {
 		b.Fatal(err)
 	}
-	hs, stats, dirty, err := st.SnapshotDelta()
+	hs, stats, err := st.Snapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
+	dirty := hs.ChangedSince(hs0)
 	for _, mode := range []struct {
 		name      string
 		forceFull bool
@@ -491,11 +494,9 @@ func BenchmarkLiveRetrain(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var reused int
 			for i := 0; i < b.N; i++ {
-				det, err := core.TrainFilteredHinted(hs, stats, c.CoreCfg, core.TrainHints{
-					Incremental: true,
-					Prev:        prev,
-					DirtyFields: dirty,
-					ForceFull:   mode.forceFull,
+				det, err := core.TrainFilteredHintedCtx(context.Background(), hs, stats, c.CoreCfg, core.TrainHints{
+					Prev:      prev,
+					ForceFull: mode.forceFull,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -99,7 +99,7 @@ var (
 	follow         = flag.Bool("follow", false, "tail the JSONL source for new events instead of stopping at its end")
 	retrainEvery   = flag.Duration("retrain-every", 15*time.Second, "live mode: retrain at most this often while changes are pending (0 disables)")
 	retrainChanges = flag.Int("retrain-changes", 5000, "live mode: retrain after this many new changes (0 disables)")
-	retrainInc     = flag.Bool("retrain-incremental", true, "live mode: every model stage reuses its rules for untouched pages, templates, fields and families between retrains (bit-identical, faster)")
+	retrainInc     = flag.Bool("retrain-incremental", true, "live mode: every model stage reuses its rules for the pages, templates, fields and families whose filtered histories did not change between retrains (bit-identical, faster)")
 	retrainFull    = flag.Int("retrain-full-every", 32, "live mode: force a full rebuild after this many incremental retrains (0 never)")
 
 	storeDir    = flag.String("store", "", "epoch store directory — persist every trained epoch and boot from the newest valid one instead of retraining")

@@ -32,7 +32,8 @@ type IncrementalStats struct {
 	// (tail holdout under a moved span re-draws every holdout).
 	Full       bool
 	FullReason string
-	// DirtyFields is the size of the caller's dirty-field set.
+	// DirtyFields is the number of fields whose histories differ from the
+	// previous training's (0 on a cold or forced build).
 	DirtyFields int
 	// TemplatesTotal counts distinct templates among the histories;
 	// TemplatesReused + TemplatesRetrained == TemplatesTotal.
@@ -42,10 +43,11 @@ type IncrementalStats struct {
 }
 
 // TrainIncremental is Train with per-template rule reuse. dirty lists the
-// fields whose change histories may differ from the previous training —
-// including fields that vanished, which the caller must report, since a
-// missing history cannot flag itself. prev must come from the same
-// configuration (reuse across configs is unsound and not detected).
+// fields whose change histories differ from the previous training's,
+// vanished fields included (core derives it with
+// changecube.HistorySet.ChangedSince). prev must come from the same
+// configuration (reuse across configs is unsound and not detected); a nil
+// prev.Predictor is a cold build.
 // The result is bit-identical to Train over the same inputs.
 //
 // A template is retrained when it contains a dirty field or — if the span
@@ -102,7 +104,7 @@ func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
 			if dirtyTemplates[t] {
 				continue
 			}
-			if !sameDayWindow(h.In(effPrev), h.In(effNow)) {
+			if !h.SameIn(effPrev, effNow) {
 				dirtyTemplates[t] = true
 			}
 		}
@@ -157,16 +159,6 @@ func effectiveSpan(span timeline.Span, periodDays int) timeline.Span {
 		return span
 	}
 	return timeline.Span{Start: span.Start, End: span.Start + timeline.Day(nWeeks*periodDays)}
-}
-
-// sameDayWindow reports whether two strictly increasing day slices are
-// equal. Both are contiguous windows into the same underlying history, so
-// equal length plus equal first element implies equality.
-func sameDayWindow(a, b []timeline.Day) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || a[0] == b[0]
 }
 
 // countTemplates counts the distinct templates among the histories.

@@ -35,9 +35,10 @@ type ThresholdIncrementalStats struct {
 }
 
 // TrainThresholdIncremental is TrainThreshold with per-field reuse. dirty
-// lists the fields whose change histories may differ from the previous
-// training (vanished fields included); prev must come from the same sizes
-// and fraction. The result is bit-identical to TrainThreshold over the
+// lists the fields whose change histories differ from the previous
+// training's, vanished fields included (core derives it with
+// changecube.HistorySet.ChangedSince); prev must come from the same sizes
+// and fraction, and a nil prev.Predictor is a cold build. The result is bit-identical to TrainThreshold over the
 // same inputs.
 func TrainThresholdIncremental(hs *changecube.HistorySet, valSpan timeline.Span, sizes []int, fraction float64,
 	prev ThresholdPrevious, dirty map[changecube.FieldKey]bool, forceFull bool) (*Threshold, ThresholdIncrementalStats, error) {

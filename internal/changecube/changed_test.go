@@ -1,0 +1,220 @@
+package changecube
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"github.com/wikistale/wikistale/internal/timeline"
+)
+
+// diffCube is a cube with n entities on n pages and three properties,
+// enough for ChangedSince fixtures.
+func diffCube(n int) *Cube {
+	c := New()
+	for i := 0; i < n; i++ {
+		c.AddEntityNamed("infobox test", fmt.Sprintf("Page %d", i))
+	}
+	for _, p := range []string{"a", "b", "c"} {
+		c.Properties.Intern(p)
+	}
+	return c
+}
+
+func mustSet(t *testing.T, c *Cube, hs ...History) *HistorySet {
+	t.Helper()
+	set, err := NewHistorySet(c, hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// changedSinceReference is the brute-force ChangedSince: every field of
+// either set, compared by presence and decoded days.
+func changedSinceReference(now, prev *HistorySet) map[FieldKey]bool {
+	out := make(map[FieldKey]bool)
+	for _, pair := range [][2]*HistorySet{{now, prev}, {prev, now}} {
+		for _, h := range pair[0].Histories() {
+			o, ok := pair[1].Get(h.Field)
+			if !ok || !slices.Equal(h.Days(), o.Days()) {
+				out[h.Field] = true
+			}
+		}
+	}
+	return out
+}
+
+func TestChangedSinceTable(t *testing.T) {
+	c := diffCube(4)
+	f := func(e, p int) FieldKey { return FieldKey{Entity: EntityID(e), Property: PropertyID(p)} }
+	shared := []timeline.Day{3, 9, 40}
+	// A packed run whose one gap is written as an overlong varint: the same
+	// days as shared, in different bytes.
+	overlong, err := NewHistoryPacked(f(0, 0), []byte{6, 0x86, 0x00, 31}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packedOf := func(set *HistorySet) *HistorySet { return set.Pack() }
+	base := func() []History {
+		return []History{
+			NewHistory(f(0, 0), shared),
+			NewHistory(f(1, 1), []timeline.Day{5, 6}),
+			NewHistory(f(2, 0), []timeline.Day{100}),
+		}
+	}
+	prev := mustSet(t, c, base()...)
+	prevPacked := packedOf(prev)
+
+	cases := []struct {
+		name string
+		prev *HistorySet
+		now  *HistorySet
+		want []FieldKey
+	}{
+		{"same set", prev, prev, nil},
+		{"shared slices", prev, mustSet(t, c, base()...), nil},
+		{"copied slices", prev, mustSet(t, c,
+			NewHistory(f(0, 0), slices.Clone(shared)),
+			NewHistory(f(1, 1), []timeline.Day{5, 6}),
+			NewHistory(f(2, 0), []timeline.Day{100})), nil},
+		{"added field", prev, mustSet(t, c, append(base(),
+			NewHistory(f(3, 2), []timeline.Day{7}))...), []FieldKey{f(3, 2)}},
+		{"vanished field", prev, mustSet(t, c, base()[:2]...), []FieldKey{f(2, 0)}},
+		{"vanished and added", prev, mustSet(t, c,
+			NewHistory(f(1, 1), []timeline.Day{5, 6}),
+			NewHistory(f(2, 0), []timeline.Day{100}),
+			NewHistory(f(2, 1), []timeline.Day{1})), []FieldKey{f(0, 0), f(2, 1)}},
+		{"appended day", prev, mustSet(t, c,
+			NewHistory(f(0, 0), []timeline.Day{3, 9, 40, 41}),
+			NewHistory(f(1, 1), []timeline.Day{5, 6}),
+			NewHistory(f(2, 0), []timeline.Day{100})), []FieldKey{f(0, 0)}},
+		{"inner day moved", prev, mustSet(t, c,
+			NewHistory(f(0, 0), []timeline.Day{3, 10, 40}),
+			NewHistory(f(1, 1), []timeline.Day{5, 6}),
+			NewHistory(f(2, 0), []timeline.Day{100})), []FieldKey{f(0, 0)}},
+		{"packed vs packed, one arena", prevPacked, prevPacked, nil},
+		{"packed vs packed, two arenas", prevPacked, packedOf(mustSet(t, c, base()...)), nil},
+		{"packed vs slice", prevPacked, mustSet(t, c, base()...), nil},
+		{"slice vs packed", prev, prevPacked, nil},
+		{"packed vs slice, changed", prevPacked, mustSet(t, c,
+			NewHistory(f(0, 0), []timeline.Day{3, 9, 41}),
+			NewHistory(f(1, 1), []timeline.Day{5, 6}),
+			NewHistory(f(2, 0), []timeline.Day{100})), []FieldKey{f(0, 0)}},
+		{"overlong varint vs canonical", prevPacked, mustSet(t, c,
+			overlong,
+			NewHistory(f(1, 1), []timeline.Day{5, 6}),
+			NewHistory(f(2, 0), []timeline.Day{100})), nil},
+		{"overlong varint vs slice", prev, mustSet(t, c,
+			overlong,
+			NewHistory(f(1, 1), []timeline.Day{5, 6}),
+			NewHistory(f(2, 0), []timeline.Day{100})), nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := make(map[FieldKey]bool)
+			for _, k := range tc.want {
+				want[k] = true
+			}
+			got := tc.now.ChangedSince(tc.prev)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("ChangedSince = %v, want %v", got, want)
+			}
+			if ref := changedSinceReference(tc.now, tc.prev); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("ChangedSince = %v, brute force %v", got, ref)
+			}
+		})
+	}
+}
+
+// TestChangedSinceRandomized mutates random history sets — fields added,
+// dropped, extended, shifted, copied or left shared — in every pairing of
+// slice and packed representations, and checks ChangedSince against the
+// brute-force comparison.
+func TestChangedSinceRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const entities = 40
+	c := diffCube(entities)
+	for trial := 0; trial < 200; trial++ {
+		var prevHs []History
+		for e := 0; e < entities; e++ {
+			for p := 0; p < 3; p++ {
+				if rng.Intn(3) == 0 {
+					prevHs = append(prevHs, NewHistory(FieldKey{Entity: EntityID(e), Property: PropertyID(p)}, randomDays(rng)))
+				}
+			}
+		}
+		prev := mustSet(t, c, prevHs...)
+		var nowHs []History
+		for _, h := range prev.Histories() {
+			days := h.Days()
+			switch rng.Intn(6) {
+			case 0: // vanished
+				continue
+			case 1: // one more day
+				days = append(slices.Clone(days), days[len(days)-1]+timeline.Day(1+rng.Intn(30)))
+			case 2: // last day moved, same length
+				days = slices.Clone(days)
+				days[len(days)-1] += timeline.Day(1 + rng.Intn(5))
+			case 3: // same days, fresh storage
+				days = slices.Clone(days)
+			}
+			nowHs = append(nowHs, NewHistory(h.Field, days))
+		}
+		for e := 0; e < entities; e++ {
+			field := FieldKey{Entity: EntityID(e), Property: PropertyID(rng.Intn(3))}
+			if _, ok := prev.Get(field); !ok && rng.Intn(4) == 0 {
+				nowHs = append(nowHs, NewHistory(field, randomDays(rng)))
+			}
+		}
+		now := mustSet(t, c, nowHs...)
+		want := changedSinceReference(now, prev)
+		for _, pair := range []struct {
+			name      string
+			prev, now *HistorySet
+		}{
+			{"slice/slice", prev, now},
+			{"packed/slice", prev.Pack(), now},
+			{"slice/packed", prev, now.Pack()},
+			{"packed/packed", prev.Pack(), now.Pack()},
+		} {
+			if got := pair.now.ChangedSince(pair.prev); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %s: ChangedSince = %v, brute force %v", trial, pair.name, got, want)
+			}
+		}
+		if got := prev.ChangedSince(prev); len(got) != 0 {
+			t.Fatalf("trial %d: a set differs from itself: %v", trial, got)
+		}
+	}
+}
+
+// TestHistorySameIn: SameIn answers exactly as comparing the two decoded
+// windows, for both representations and random span pairs.
+func TestHistorySameIn(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var arena []byte
+	for trial := 0; trial < 300; trial++ {
+		slice := NewHistory(FieldKey{}, randomDays(rng))
+		var packed History
+		packed, arena = slice.Packed(arena)
+		span := func() timeline.Span {
+			start := timeline.Day(rng.Intn(3000) - 100)
+			return timeline.Span{Start: start, End: start + timeline.Day(rng.Intn(2000))}
+		}
+		for q := 0; q < 20; q++ {
+			a, b := span(), span()
+			if q%4 == 0 {
+				b = timeline.Span{Start: a.Start, End: a.End + timeline.Day(rng.Intn(50))}
+			}
+			want := slices.Equal(slice.In(a), slice.In(b))
+			if got := slice.SameIn(a, b); got != want {
+				t.Fatalf("trial %d: slice SameIn(%v, %v) = %v, want %v", trial, a, b, got, want)
+			}
+			if got := packed.SameIn(a, b); got != want {
+				t.Fatalf("trial %d: packed SameIn(%v, %v) = %v, want %v", trial, a, b, got, want)
+			}
+		}
+	}
+}

@@ -1,8 +1,10 @@
 package changecube
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/wikistale/wikistale/internal/timeline"
@@ -295,6 +297,68 @@ func (h History) In(span timeline.Span) []timeline.Day {
 	return out
 }
 
+// SameIn reports whether the field's change days inside span a equal those
+// inside span b. Both windows are contiguous runs of one strictly
+// increasing list, so they are equal iff both are empty or they start and
+// end at the same positions; nothing is decoded or compared day by day.
+func (h History) SameIn(a, b timeline.Span) bool {
+	loA, hiA := h.positions(a)
+	loB, hiB := h.positions(b)
+	return (loA == hiA && loB == hiB) || (loA == loB && hiA == hiB)
+}
+
+// positions returns the index range [lo, hi) of the days inside span.
+func (h History) positions(span timeline.Span) (lo, hi int) {
+	if h.packed == nil {
+		lo = sort.Search(len(h.days), func(i int) bool { return h.days[i] >= span.Start })
+		hi = sort.Search(len(h.days), func(i int) bool { return h.days[i] >= span.End })
+		return lo, max(lo, hi)
+	}
+	h.eachDay(func(d timeline.Day) bool {
+		if d >= span.End {
+			return false
+		}
+		if d < span.Start {
+			lo++
+		}
+		hi++
+		return true
+	})
+	return lo, max(lo, hi)
+}
+
+// sameDaysAs reports whether two histories hold the same days, whatever
+// their representations. Histories sharing one day slice or one packed
+// run compare equal without a scan.
+func (h History) sameDaysAs(o History) bool {
+	if h.Len() != o.Len() {
+		return false
+	}
+	if h.Len() == 0 {
+		return true
+	}
+	switch {
+	case h.packed == nil && o.packed == nil:
+		return &h.days[0] == &o.days[0] || slices.Equal(h.days, o.days)
+	case h.packed != nil && o.packed != nil:
+		if &h.packed[0] == &o.packed[0] || bytes.Equal(h.packed, o.packed) {
+			return true
+		}
+		// Differing bytes can still decode to equal days (a varint may be
+		// written overlong), so fall through to a day-by-day walk.
+	case h.packed != nil:
+		h, o = o, h // walk the packed one against the slice
+	}
+	days := h.Days()
+	i, same := 0, true
+	o.eachDay(func(d timeline.Day) bool {
+		same = d == days[i]
+		i++
+		return same
+	})
+	return same
+}
+
 // LastBefore returns the most recent change day strictly before day.
 func (h History) LastBefore(day timeline.Day) (timeline.Day, bool) {
 	if h.packed == nil {
@@ -358,11 +422,7 @@ func NewHistorySet(cube *Cube, histories []History) (*HistorySet, error) {
 		index:     make(map[FieldKey]int, len(histories)),
 	}
 	sort.Slice(hs.histories, func(i, j int) bool {
-		a, b := hs.histories[i].Field, hs.histories[j].Field
-		if a.Entity != b.Entity {
-			return a.Entity < b.Entity
-		}
-		return a.Property < b.Property
+		return fieldLess(hs.histories[i].Field, hs.histories[j].Field)
 	})
 	for i, h := range hs.histories {
 		if h.Len() == 0 {
@@ -380,6 +440,45 @@ func NewHistorySet(cube *Cube, histories []History) (*HistorySet, error) {
 		hs.index[h.Field] = i
 	}
 	return hs, nil
+}
+
+// fieldLess orders fields by (entity, property), the order of a set's
+// histories.
+func fieldLess(a, b FieldKey) bool {
+	if a.Entity != b.Entity {
+		return a.Entity < b.Entity
+	}
+	return a.Property < b.Property
+}
+
+// ChangedSince returns the fields whose history differs between prev and
+// hs: fields only hs holds (added), fields only prev holds (vanished), and
+// fields whose days differ. It is one merge walk over the two field-sorted
+// history lists, and histories that share their day storage — every field
+// a live snapshot did not touch — compare equal without a scan. Only the
+// days are compared: entity metadata is taken to be the same for entities
+// both sets know, as it is along one growing cube lineage.
+func (hs *HistorySet) ChangedSince(prev *HistorySet) map[FieldKey]bool {
+	changed := make(map[FieldKey]bool)
+	a, b := prev.histories, hs.histories
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || (i < len(a) && fieldLess(a[i].Field, b[j].Field)):
+			changed[a[i].Field] = true
+			i++
+		case i == len(a) || fieldLess(b[j].Field, a[i].Field):
+			changed[b[j].Field] = true
+			j++
+		default:
+			if !a[i].sameDaysAs(b[j]) {
+				changed[b[j].Field] = true
+			}
+			i++
+			j++
+		}
+	}
+	return changed
 }
 
 // Pack returns a new set holding every history in packed representation,

@@ -198,43 +198,35 @@ func TrainCtx(ctx context.Context, cube *changecube.Cube, cfg Config) (*Detector
 
 // TrainFiltered is Train for data that already passed the filter pipeline.
 func TrainFiltered(hs *changecube.HistorySet, stats filter.Stats, cfg Config) (*Detector, error) {
-	return TrainFilteredHinted(hs, stats, cfg, TrainHints{})
+	return TrainFilteredHintedCtx(context.Background(), hs, stats, cfg, TrainHints{})
 }
 
-// TrainHints carries optional incremental-retraining context into
-// TrainFilteredHinted. The zero value means a plain batch training run.
+// TrainHints carries optional retraining context into
+// TrainFilteredHintedCtx. The zero value is a cold build.
 type TrainHints struct {
-	// Incremental opts into rule reuse for every model stage that supports
-	// it: correlation (per-page), association rules (per-template),
-	// seasonal anchors and the threshold baseline (per-field), and family
-	// correlations (per-family). Each stage independently falls back to a
-	// full rebuild when its locality assumption breaks (typically a moved
-	// span); the wikistale_train_incremental_* metrics are only recorded on
-	// this path.
-	Incremental bool
 	// Prev is the detector from the last successful training over the same
-	// configuration; its per-stage models may be reused for pages,
-	// templates, fields, and families that are untouched. Nil forces a cold
-	// (full) build.
+	// configuration and the same cube lineage (entity IDs stable and
+	// append-only). The retrain delta is derived from it: the fields whose
+	// filtered histories differ between Prev.Histories() and the new input
+	// (see changecube.HistorySet.ChangedSince). Every model stage reuses
+	// Prev's work for the pages, templates, fields, and families that delta
+	// leaves untouched — correlation per page, association rules per
+	// template, seasonal anchors and the threshold baseline per field,
+	// family correlations per family — and falls back to a full rebuild on
+	// its own when its locality assumption breaks (typically a moved span).
+	// Prev.Histories() must still be what Prev was trained on, so a
+	// detector that has Ingested since is no valid Prev. Nil is a cold
+	// build.
 	Prev *Detector
-	// DirtyFields lists the fields whose change histories may differ from
-	// Prev's training input — typically the live ingester's staged fields
-	// since the previous retrain.
-	DirtyFields map[changecube.FieldKey]bool
-	// ForceFull re-searches every page even when Prev is usable — the
-	// periodic escape hatch against bookkeeping drift.
+	// ForceFull rebuilds every stage even when Prev is usable.
 	ForceFull bool
 }
 
-// TrainFilteredHinted is TrainFiltered with incremental-retraining hints;
-// the result is bit-identical to TrainFiltered on the same inputs, hints
-// only shortcut the work (see correlation.TrainIncremental).
-func TrainFilteredHinted(hs *changecube.HistorySet, stats filter.Stats, cfg Config, hints TrainHints) (*Detector, error) {
-	return TrainFilteredHintedCtx(context.Background(), hs, stats, cfg, hints)
-}
-
-// TrainFilteredHintedCtx is TrainFilteredHinted with trace propagation for
-// the per-model stage timers.
+// TrainFilteredHintedCtx is TrainFiltered with retraining hints and trace
+// propagation for the per-model stage timers. Every training runs the
+// stages' incremental trainers; the result is bit-identical to a cold
+// build on the same inputs, hints only shortcut the work (see
+// correlation.TrainIncremental).
 func TrainFilteredHintedCtx(ctx context.Context, hs *changecube.HistorySet, stats filter.Stats, cfg Config, hints TrainHints) (*Detector, error) {
 	if hs.Len() == 0 {
 		return nil, fmt.Errorf("core: no fields survive filtering")
@@ -247,85 +239,60 @@ func TrainFilteredHintedCtx(ctx context.Context, hs *changecube.HistorySet, stat
 	d.report.Filter = stats
 	start := time.Now()
 
-	_, span := obs.StartSpanCtx(ctx, "train/correlation")
-	if hints.Incremental {
-		var prev correlation.Previous
-		if hints.Prev != nil {
-			prev = correlation.Previous{Predictor: hints.Prev.fieldCorr, Span: hints.Prev.splits.TrainVal}
+	var (
+		dirty      map[changecube.FieldKey]bool
+		prevCorr   correlation.Previous
+		prevAssoc  assocrules.Previous
+		prevSeason seasonal.Previous
+		prevFamily familycorr.Previous
+		prevThresh baseline.ThresholdPrevious
+	)
+	if p := hints.Prev; p != nil {
+		if !hints.ForceFull {
+			dirty = hs.ChangedSince(p.histories)
 		}
-		d.fieldCorr, d.corrInc, err = correlation.TrainIncremental(
-			hs, splits.TrainVal, cfg.Correlation, prev, hints.DirtyFields, hints.ForceFull)
-	} else {
-		d.fieldCorr, err = correlation.Train(hs, splits.TrainVal, cfg.Correlation)
+		prevCorr = correlation.Previous{Predictor: p.fieldCorr, Span: p.splits.TrainVal}
+		prevAssoc = assocrules.Previous{Predictor: p.assocRules, Span: p.splits.TrainVal}
+		prevSeason = seasonal.Previous{Predictor: p.seasonalP, Span: p.splits.TrainVal}
+		prevFamily = familycorr.Previous{Predictor: p.familyCorr, Span: p.splits.TrainVal, Entities: p.histories.Cube().NumEntities()}
+		prevThresh = baseline.ThresholdPrevious{Predictor: p.threshBase, ValSpan: p.splits.Validation}
 	}
+
+	_, span := obs.StartSpanCtx(ctx, "train/correlation")
+	d.fieldCorr, d.corrInc, err = correlation.TrainIncremental(
+		hs, splits.TrainVal, cfg.Correlation, prevCorr, dirty, hints.ForceFull)
 	if err != nil {
 		return nil, fmt.Errorf("core: field correlations: %w", err)
 	}
 	d.report.add("train/correlation", span.End())
 
 	_, span = obs.StartSpanCtx(ctx, "train/assocrules")
-	if hints.Incremental {
-		var prev assocrules.Previous
-		if hints.Prev != nil {
-			prev = assocrules.Previous{Predictor: hints.Prev.assocRules, Span: hints.Prev.splits.TrainVal}
-		}
-		d.assocRules, d.assocInc, err = assocrules.TrainIncremental(
-			hs, splits.TrainVal, cfg.AssocRules, prev, hints.DirtyFields, hints.ForceFull)
-	} else {
-		d.assocRules, err = assocrules.Train(hs, splits.TrainVal, cfg.AssocRules)
-	}
+	d.assocRules, d.assocInc, err = assocrules.TrainIncremental(
+		hs, splits.TrainVal, cfg.AssocRules, prevAssoc, dirty, hints.ForceFull)
 	if err != nil {
 		return nil, fmt.Errorf("core: association rules: %w", err)
 	}
 	d.report.add("train/assocrules", span.End())
 
 	_, span = obs.StartSpanCtx(ctx, "train/seasonal")
-	if hints.Incremental {
-		var prev seasonal.Previous
-		if hints.Prev != nil {
-			prev = seasonal.Previous{Predictor: hints.Prev.seasonalP, Span: hints.Prev.splits.TrainVal}
-		}
-		d.seasonalP, d.seasonInc, err = seasonal.TrainIncremental(
-			hs, splits.TrainVal, cfg.Seasonal, prev, hints.DirtyFields, hints.ForceFull)
-	} else {
-		d.seasonalP, err = seasonal.Train(hs, splits.TrainVal, cfg.Seasonal)
-	}
+	d.seasonalP, d.seasonInc, err = seasonal.TrainIncremental(
+		hs, splits.TrainVal, cfg.Seasonal, prevSeason, dirty, hints.ForceFull)
 	if err != nil {
 		return nil, fmt.Errorf("core: seasonal: %w", err)
 	}
 	d.report.add("train/seasonal", span.End())
 
 	_, span = obs.StartSpanCtx(ctx, "train/familycorr")
-	if hints.Incremental {
-		var prev familycorr.Previous
-		if hints.Prev != nil {
-			prev = familycorr.Previous{
-				Predictor: hints.Prev.familyCorr,
-				Span:      hints.Prev.splits.TrainVal,
-				Entities:  hints.Prev.histories.Cube().NumEntities(),
-			}
-		}
-		d.familyCorr, d.familyInc, err = familycorr.TrainIncremental(
-			hs, splits.TrainVal, cfg.FamilyCorr, prev, hints.DirtyFields, hints.ForceFull)
-	} else {
-		d.familyCorr, err = familycorr.Train(hs, splits.TrainVal, cfg.FamilyCorr)
-	}
+	d.familyCorr, d.familyInc, err = familycorr.TrainIncremental(
+		hs, splits.TrainVal, cfg.FamilyCorr, prevFamily, dirty, hints.ForceFull)
 	if err != nil {
 		return nil, fmt.Errorf("core: family correlations: %w", err)
 	}
 	d.report.add("train/familycorr", span.End())
 
 	_, span = obs.StartSpanCtx(ctx, "train/threshold")
-	if hints.Incremental {
-		var prev baseline.ThresholdPrevious
-		if hints.Prev != nil {
-			prev = baseline.ThresholdPrevious{Predictor: hints.Prev.threshBase, ValSpan: hints.Prev.splits.Validation}
-		}
-		d.threshBase, d.threshInc, err = baseline.TrainThresholdIncremental(
-			hs, splits.Validation, timeline.StandardSizes, cfg.ThresholdFraction, prev, hints.DirtyFields, hints.ForceFull)
-	} else {
-		d.threshBase, err = baseline.TrainThreshold(hs, splits.Validation, timeline.StandardSizes, cfg.ThresholdFraction)
-	}
+	d.threshBase, d.threshInc, err = baseline.TrainThresholdIncremental(
+		hs, splits.Validation, timeline.StandardSizes, cfg.ThresholdFraction, prevThresh, dirty, hints.ForceFull)
 	if err != nil {
 		return nil, fmt.Errorf("core: threshold baseline: %w", err)
 	}
@@ -360,14 +327,14 @@ func (d *Detector) TrainReport() TrainReport { return d.report }
 
 // CorrelationRetrain reports what the correlation trainer did for this
 // detector — full rebuild or incremental reuse, and the page accounting.
-// Only meaningful for detectors built via TrainFilteredHinted with
-// Incremental set; otherwise it is the zero value.
+// A training without a Prev reports Full with FullReason "cold"; a
+// detector restored via LoadModelBytes reports the zero value.
 func (d *Detector) CorrelationRetrain() correlation.IncrementalStats { return d.corrInc }
 
 // AssocRetrain, SeasonalRetrain, FamilyRetrain, and ThresholdRetrain are
 // CorrelationRetrain's counterparts for the other incrementally trained
 // stages: what each trainer reused versus rebuilt, and why a full rebuild
-// happened when it did. Zero values outside the Incremental path.
+// happened when it did ("cold" when there was no Prev).
 func (d *Detector) AssocRetrain() assocrules.IncrementalStats { return d.assocInc }
 
 // SeasonalRetrain reports the seasonal stage's incremental accounting.

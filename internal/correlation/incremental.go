@@ -33,7 +33,8 @@ type IncrementalStats struct {
 	// rescales every pair).
 	Full       bool
 	FullReason string
-	// DirtyFields is the size of the caller's dirty-field set.
+	// DirtyFields is the number of fields whose histories differ from the
+	// previous training's (0 on a cold or forced build).
 	DirtyFields int
 	// PagesTotal, PagesReused, PagesRetrained count pages in the history
 	// set; PagesSkipped counts the subset of retrained pages dropped by
@@ -45,10 +46,11 @@ type IncrementalStats struct {
 }
 
 // TrainIncremental is Train with rule reuse. dirty lists the fields whose
-// change histories may differ from the previous training; prev is the last
-// successful training over the same configuration (reusing rules across
-// configs is unsound and not detected). forceFull re-searches every page —
-// the periodic escape hatch against bookkeeping drift.
+// change histories differ from the previous training's, vanished fields
+// included (core derives it with changecube.HistorySet.ChangedSince); prev
+// is the last successful training over the same configuration (reusing
+// rules across configs is unsound and not detected), and a nil
+// prev.Predictor is a cold build. forceFull re-searches every page.
 //
 // A page is retrained when it contains a dirty field, or — if the span
 // moved — any field whose in-span day set differs between the two spans.
@@ -89,15 +91,13 @@ func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
 	}
 	if span != prev.Span {
 		// The live span advances with every batch, which can move a
-		// field's day set even when the field itself was untouched. Days
-		// are strictly increasing, so two in-span slices are identical iff
-		// they agree on length and first value.
+		// field's day set even when the field itself was untouched.
 		for _, h := range hs.Histories() {
 			page := cube.Page(h.Field.Entity)
 			if dirtyPages[page] {
 				continue
 			}
-			if !sameDays(h.In(prev.Span), h.In(span)) {
+			if !h.SameIn(prev.Span, span) {
 				dirtyPages[page] = true
 			}
 		}
@@ -116,16 +116,6 @@ func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
 	stats.PagesSkipped = res.pagesSkipped
 	recordIncremental(stats)
 	return newPredictor(res.rules), stats, nil
-}
-
-// sameDays reports whether two strictly increasing day slices are equal.
-// Both are contiguous windows into the same underlying history, so equal
-// length plus equal first element implies equality.
-func sameDays(a, b []timeline.Day) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || a[0] == b[0]
 }
 
 // recordIncremental publishes the wikistale_train_incremental_* metrics.

@@ -154,8 +154,8 @@ func interruptedRun(t *testing.T, cube *changecube.Cube, cfg Config) (*core.Dete
 // batch sequence with retrains forced at the same points — one cold, one
 // incremental — and asserts bit-identical correlation rules and DetectStale
 // output after every successful retrain. Early retrains fail on both sides
-// ("span too short") until enough history streamed in, which exercises the
-// dirty-carry-across-failures path; later ones must reuse pages.
+// ("span too short") until enough history streamed in; later ones must
+// reuse pages.
 func TestIncrementalRetrainEquivalence(t *testing.T) {
 	cube, _, err := dataset.Generate(dataset.Small())
 	if err != nil {
@@ -252,5 +252,116 @@ func TestIncrementalRetrainEquivalence(t *testing.T) {
 	}
 	if reusedRetrains == 0 {
 		t.Fatal("incremental retrains never reused a page's rules")
+	}
+}
+
+// TestRetrainSkipsTouchedButUnchangedFields: the retrain delta is what
+// changed in the filtered histories, not what the feed touched. After a
+// warm start and a first training, 17 fields get an event that repeats a
+// plain update they already had on a day they already changed; their
+// filtered days stay the same, so the next retrain must rebuild no page,
+// template, family or field, and still equal a cold build.
+func TestRetrainSkipsTouchedButUnchangedFields(t *testing.T) {
+	cube, _, err := dataset.Generate(dataset.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	st, err := NewStagingFromCube(cube, cfg.Filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &swapRecorder{}
+	m := NewManager(nil, st, rec.swap, Config{Train: cfg, Incremental: true})
+	m.retrain("count")
+	first := rec.last()
+	if first == nil {
+		t.Fatalf("warm-start training failed: %s", m.Stats().LastError)
+	}
+
+	// Candidates: non-bot updates of fields without bot edits (so no
+	// revert pair can form), on a day the field's filtered history already
+	// holds. Every 97th candidate spreads the picks over the corpus.
+	changes := cube.Changes()
+	events := CubeEvents(cube)
+	botEdited := make(map[changecube.FieldKey]bool)
+	for _, ch := range changes {
+		if ch.Bot {
+			botEdited[changecube.FieldKey{Entity: ch.Entity, Property: ch.Property}] = true
+		}
+	}
+	picked := make(map[changecube.FieldKey]bool)
+	var touch []Event
+	candidates := 0
+	for i, ch := range changes {
+		key := changecube.FieldKey{Entity: ch.Entity, Property: ch.Property}
+		if ch.Kind != changecube.Update || botEdited[key] || picked[key] {
+			continue
+		}
+		h, ok := first.Histories().Get(key)
+		if !ok || !h.ChangedIn(timeline.NewSpan(ch.Day(), ch.Day()+1)) {
+			continue
+		}
+		if candidates++; candidates%97 != 0 {
+			continue
+		}
+		picked[key] = true
+		touch = append(touch, events[i])
+		if len(touch) == 17 {
+			break
+		}
+	}
+	if len(touch) != 17 {
+		t.Fatalf("found %d fields to re-touch, want 17", len(touch))
+	}
+	if _, err := st.Append(touch); err != nil {
+		t.Fatal(err)
+	}
+	m.retrain("count")
+	if rec.count() != 2 {
+		t.Fatalf("retrain after the touches produced no detector: %s", m.Stats().LastError)
+	}
+	det := rec.last()
+	if !reflect.DeepEqual(det.Histories().Histories(), first.Histories().Histories()) {
+		t.Fatal("the re-touched fields' filtered days changed; the fixture must leave them as they were")
+	}
+
+	ci, ai, fi := det.CorrelationRetrain(), det.AssocRetrain(), det.FamilyRetrain()
+	si, ti := det.SeasonalRetrain(), det.ThresholdRetrain()
+	if ci.Full || ci.PagesTotal == 0 || ci.PagesRetrained != 0 || ci.PagesReused != ci.PagesTotal {
+		t.Errorf("correlation: %+v, want every page reused", ci)
+	}
+	if ai.Full || ai.TemplatesTotal == 0 || ai.TemplatesRetrained != 0 || ai.TemplatesReused != ai.TemplatesTotal {
+		t.Errorf("association rules: %+v, want every template reused", ai)
+	}
+	if fi.Full || fi.FamiliesTotal == 0 || fi.FamiliesRetrained != 0 || fi.FamiliesReused != fi.FamiliesTotal {
+		t.Errorf("family correlations: %+v, want every family reused", fi)
+	}
+	if si.Full || si.FieldsRecomputed != 0 {
+		t.Errorf("seasonal: %+v, want no field recomputed", si)
+	}
+	if ti.Full || ti.FieldsRecomputed != 0 {
+		t.Errorf("threshold: %+v, want no field recomputed", ti)
+	}
+
+	cold, err := core.TrainFiltered(det.Histories(), det.FilterStats(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cold.FieldCorrelations().Rules(), det.FieldCorrelations().Rules()) {
+		t.Error("correlation rules differ from a cold build")
+	}
+	if !reflect.DeepEqual(cold.AssociationRules().Rules(), det.AssociationRules().Rules()) {
+		t.Error("association rules differ from a cold build")
+	}
+	if !reflect.DeepEqual(cold.Seasonal(), det.Seasonal()) {
+		t.Error("seasonal predictor differs from a cold build")
+	}
+	if !reflect.DeepEqual(cold.FamilyCorrelations().Rules(), det.FamilyCorrelations().Rules()) {
+		t.Error("family rules differ from a cold build")
+	}
+	end := det.Histories().Span().End
+	if !reflect.DeepEqual(cold.DetectStale(end, 30), det.DetectStale(end, 30)) {
+		t.Error("DetectStale differs from a cold build")
 	}
 }

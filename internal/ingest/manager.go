@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/core"
 	"github.com/wikistale/wikistale/internal/obs"
 	"github.com/wikistale/wikistale/internal/obs/ring"
@@ -31,16 +30,17 @@ type Config struct {
 	// RetrainChanges triggers a retrain once this many events accumulated
 	// since the last one (0 disables the count trigger).
 	RetrainChanges int
-	// Incremental lets every model stage reuse the previous detector's
-	// work for what is untouched since the last successful retrain:
-	// correlation rules per page, association rules per template,
-	// seasonal anchors and thresholds per field, family correlations per
-	// family (bit-identical to a cold retrain; see core.TrainHints).
-	// False forces a full rebuild of every stage on every retrain.
+	// Incremental passes the last successful detector to every retrain,
+	// so each model stage reuses its work for what the new snapshot left
+	// unchanged: correlation rules per page, association rules per
+	// template, seasonal anchors and thresholds per field, family
+	// correlations per family (bit-identical to a cold retrain; see
+	// core.TrainHints). False forces a full rebuild of every stage on
+	// every retrain.
 	Incremental bool
-	// FullRebuildEvery forces a full page search after this many
-	// consecutive incremental retrains — the escape hatch against
-	// bookkeeping drift (0 never forces one).
+	// FullRebuildEvery forces a full rebuild of every stage after this
+	// many consecutive incremental retrains, so a periodic retrain
+	// re-checks reuse against a cold build (0 never forces one).
 	FullRebuildEvery int
 }
 
@@ -155,13 +155,11 @@ type Manager struct {
 	wg        sync.WaitGroup
 
 	// Incremental-retraining state, guarded by retrainMu: the last
-	// successfully trained detector (rule-reuse source), the dirty fields
-	// consumed from staging but not yet folded into a successful retrain
-	// (a failed retrain must not lose them), and the count of incremental
+	// successfully trained detector (rule-reuse source; the retrain delta
+	// is derived from its histories) and the count of incremental
 	// retrains since the last full rebuild.
-	lastGood   *core.Detector
-	dirtyCarry map[changecube.FieldKey]bool
-	sinceFull  int
+	lastGood  *core.Detector
+	sinceFull int
 
 	mu    sync.Mutex
 	stats Stats
@@ -180,7 +178,6 @@ type Manager struct {
 	batchSize      *obs.Histogram
 	feedLag        *obs.Gauge
 	stagedChanges  *obs.Gauge
-	dirtyFields    *obs.Gauge
 	retrainSeconds *obs.Histogram
 	retrainsTotal  *obs.Counter
 	retrainErrors  *obs.Counter
@@ -196,7 +193,6 @@ func NewManager(src Source, st *Staging, swap func(*core.Detector), cfg Config) 
 	reg.SetHelp("wikistale_ingest_batch_events", "Events per consumed source batch.")
 	reg.SetHelp("wikistale_ingest_lag_seconds", "Wall-clock age of the newest ingested event (now minus newest applied event time).")
 	reg.SetHelp("wikistale_ingest_staged_changes", "Raw changes in the staging cube.")
-	reg.SetHelp("wikistale_staging_dirty_fields", "Fields touched since the last successful snapshot — pending input of the next incremental retrain.")
 	reg.SetHelp("wikistale_ingest_retrain_seconds", "Background retrain duration (snapshot + train).")
 	reg.SetHelp("wikistale_ingest_retrains_total", "Background retrains that produced a detector.")
 	reg.SetHelp("wikistale_ingest_retrain_errors_total", "Background retrains that failed.")
@@ -215,7 +211,6 @@ func NewManager(src Source, st *Staging, swap func(*core.Detector), cfg Config) 
 		batchSize:      reg.Histogram("wikistale_ingest_batch_events", batchBuckets, nil),
 		feedLag:        reg.Gauge("wikistale_ingest_lag_seconds", nil),
 		stagedChanges:  reg.Gauge("wikistale_ingest_staged_changes", nil),
-		dirtyFields:    reg.Gauge("wikistale_staging_dirty_fields", nil),
 		retrainSeconds: reg.Histogram("wikistale_ingest_retrain_seconds", obs.DurationBuckets, nil),
 		retrainsTotal:  reg.Counter("wikistale_ingest_retrains_total", nil),
 		retrainErrors:  reg.Counter("wikistale_ingest_retrain_errors_total", nil),
@@ -376,7 +371,6 @@ func (m *Manager) consume(events []Event) error {
 	lag := time.Since(time.Unix(newest, 0)).Seconds()
 	m.feedLag.Set(lag)
 	m.stagedChanges.Set(float64(res.changes))
-	m.dirtyFields.Set(float64(res.dirty))
 	m.logger.Debug("batch applied",
 		"events", len(events), "fields_touched", res.touched,
 		"pending", m.pending.Load(), "lag_seconds", lag)
@@ -417,7 +411,6 @@ func (m *Manager) retrainLocked(trigger string) {
 	start := time.Now()
 	det, err := m.train(ctx)
 	elapsed := time.Since(start)
-	m.dirtyFields.Set(float64(m.st.DirtyCount()))
 	rec := RetrainRecord{
 		Time:    start.UTC().Format(time.RFC3339),
 		Trigger: trigger,
@@ -486,38 +479,29 @@ func (m *Manager) retrainLocked(trigger string) {
 	}
 }
 
-// train builds a detector from the current staging snapshot, threading
-// the dirty-field delta and the last good detector into the trainer so
-// every stage can reuse what is untouched; with Config.Incremental off,
-// or every FullRebuildEvery retrains, ForceFull rebuilds every stage.
-// Dirty fields consumed from staging are carried across failed attempts
-// so no delta is ever lost. Caller holds retrainMu.
+// train builds a detector from the current staging snapshot with the last
+// good detector as Prev, so every stage reuses what the snapshot left
+// unchanged since it; with Config.Incremental off, or every
+// FullRebuildEvery retrains, ForceFull rebuilds every stage. A failed
+// attempt keeps lastGood, so the next delta still spans everything since
+// it. Caller holds retrainMu.
 func (m *Manager) train(ctx context.Context) (*core.Detector, error) {
 	ctx, span := obs.StartSpanCtx(ctx, "ingest/retrain")
 	defer span.End()
-	hs, stats, dirty, err := m.st.SnapshotDelta()
+	hs, stats, err := m.st.Snapshot()
 	if err != nil {
 		return nil, err
-	}
-	if m.dirtyCarry == nil {
-		m.dirtyCarry = make(map[changecube.FieldKey]bool, len(dirty))
-	}
-	for f := range dirty {
-		m.dirtyCarry[f] = true
 	}
 	forceFull := !m.cfg.Incremental ||
 		(m.cfg.FullRebuildEvery > 0 && m.sinceFull >= m.cfg.FullRebuildEvery)
 	det, err := core.TrainFilteredHintedCtx(ctx, hs, stats, m.cfg.Train, core.TrainHints{
-		Incremental: true,
-		Prev:        m.lastGood,
-		DirtyFields: m.dirtyCarry,
-		ForceFull:   forceFull,
+		Prev:      m.lastGood,
+		ForceFull: forceFull,
 	})
 	if err != nil {
 		return nil, err
 	}
 	m.lastGood = det
-	m.dirtyCarry = nil
 	if det.CorrelationRetrain().Full {
 		m.sinceFull = 0
 	} else {

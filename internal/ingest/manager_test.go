@@ -199,11 +199,10 @@ func chunk(events []Event, sizes ...int) [][]Event {
 	return batches
 }
 
-// TestManagerFullModeDrainsDirtySet: with Incremental off every retrain
-// is a full rebuild, yet it must still take the dirty set from staging,
-// so the set (and its gauge) drains instead of growing to every field
-// ever touched, and the stats count each retrain as full.
-func TestManagerFullModeDrainsDirtySet(t *testing.T) {
+// TestManagerFullModeReportsFullRetrains: with Incremental off every
+// retrain is a full rebuild, and the stats and the retrain history count
+// each one as full.
+func TestManagerFullModeReportsFullRetrains(t *testing.T) {
 	cube, _, err := dataset.Generate(dataset.Small())
 	if err != nil {
 		t.Fatal(err)
@@ -224,10 +223,6 @@ func TestManagerFullModeDrainsDirtySet(t *testing.T) {
 	stats := m.Stats()
 	if stats.Retrains < 2 {
 		t.Fatalf("%d retrains, want the count trigger to fire mid-stream", stats.Retrains)
-	}
-	if n := st.DirtyCount(); n != 0 || stats.Staging.DirtyFields != 0 || m.dirtyFields.Value() != 0 {
-		t.Fatalf("dirty set not drained: staging %d, stats %d, gauge %v",
-			n, stats.Staging.DirtyFields, m.dirtyFields.Value())
 	}
 	if stats.RetrainsFull != stats.Retrains || stats.RetrainsIncremental != 0 {
 		t.Fatalf("retrains %d: %d full, %d incremental; want all full",
@@ -266,8 +261,8 @@ func TestManagerRecentRetrainsEvictOldest(t *testing.T) {
 }
 
 // TestManagerBookkeepingMatchesStaging: after every batch of a replay in
-// uneven batches, the staged-changes and dirty-fields gauges equal what
-// Staging.Stats reports, and the drift watch has been fed the batch's
+// uneven batches, the staged-changes gauge equals what Staging.Stats
+// reports, and the drift watch has been fed the batch's
 // new-entity and new-property counts exactly as the cube's dimensions
 // grew (checked against a reference watch fed those deltas).
 func TestManagerBookkeepingMatchesStaging(t *testing.T) {
@@ -287,15 +282,12 @@ func TestManagerBookkeepingMatchesStaging(t *testing.T) {
 		defer st.mu.Unlock()
 		return st.cube.NumEntities(), st.cube.Properties.Len()
 	}
-	var ents, props, batches, snapshots int
+	var ents, props, batches int
 	m.SetEventObserver(func(events []Event) {
 		batches++
 		stats := st.Stats()
 		if got := int(m.stagedChanges.Value()); got != stats.Changes {
 			t.Fatalf("batch %d: staged-changes gauge %d, staging has %d", batches, got, stats.Changes)
-		}
-		if got := int(m.dirtyFields.Value()); got != stats.DirtyFields {
-			t.Fatalf("batch %d: dirty-fields gauge %d, staging has %d", batches, got, stats.DirtyFields)
 		}
 		e, p := dims()
 		ref.Batch(events, e-ents, p-props, time.Now())
@@ -305,22 +297,12 @@ func TestManagerBookkeepingMatchesStaging(t *testing.T) {
 			t.Fatalf("batch %d: drift new-entity/new-property EWMAs %v/%v, cube dimensions give %v/%v",
 				batches, got.NewEntityEWMA, got.NewPropertyEWMA, want.NewEntityEWMA, want.NewPropertyEWMA)
 		}
-		// Reset the dirty set now and then, as a retrain would, so the
-		// gauge is checked on both sides of a snapshot.
-		if batches%7 == 0 {
-			if _, _, _, err := st.SnapshotDelta(); err == nil {
-				snapshots++
-			}
-		}
 	})
 	if err := m.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if batches != len(src.batches) {
 		t.Fatalf("observer saw %d batches, source sent %d", batches, len(src.batches))
-	}
-	if snapshots == 0 {
-		t.Fatal("no snapshot reset the dirty set; the dirty gauge was checked on one side only")
 	}
 	if ents != cube.NumEntities() || props != cube.Properties.Len() {
 		t.Fatalf("staged %d entities / %d properties, corpus has %d / %d",

@@ -66,12 +66,6 @@ type Staging struct {
 	eligible                                      int // fields clearing MinChanges
 	appended                                      uint64
 
-	// dirty accumulates the fields touched by Append since the last
-	// successful SnapshotDelta — the input to incremental retraining.
-	// Warm-start corpus fields are NOT dirty: the first training over them
-	// is a cold build anyway.
-	dirty map[changecube.FieldKey]bool
-
 	// cursor is the feed position after the newest applied batch (set by
 	// AppendAt); snapCP freezes cursor + entity ordinals at the moment of
 	// the last successful snapshot, so the epoch store persists a
@@ -95,7 +89,6 @@ func NewStaging(cfg filter.Config) (*Staging, error) {
 		entIdx:  make(map[entityKey]changecube.EntityID),
 		ordinal: make(map[pageTemplate]int),
 		fields:  make(map[changecube.FieldKey]*fieldBuf),
-		dirty:   make(map[changecube.FieldKey]bool),
 	}, nil
 }
 
@@ -185,7 +178,6 @@ type appendResult struct {
 	newEntities   int // infoboxes first seen in the batch
 	newProperties int // property names first seen in the batch
 	changes       int // raw staged changes after the batch
-	dirty         int // fields touched since the last SnapshotDelta
 }
 
 func (st *Staging) appendAt(events []Event, pos *SourcePosition) (appendResult, error) {
@@ -197,13 +189,12 @@ func (st *Staging) appendAt(events []Event, pos *SourcePosition) (appendResult, 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	entBefore, propBefore := st.cube.NumEntities(), st.cube.Properties.Len()
-	dirty := make(map[changecube.FieldKey]*fieldBuf)
+	touched := make(map[changecube.FieldKey]*fieldBuf)
 	for _, ev := range events {
 		key := st.stage(ev)
-		dirty[key] = st.fields[key]
-		st.dirty[key] = true
+		touched[key] = st.fields[key]
 	}
-	for _, buf := range dirty {
+	for _, buf := range touched {
 		st.refilter(buf)
 	}
 	st.appended += uint64(len(events))
@@ -211,11 +202,10 @@ func (st *Staging) appendAt(events []Event, pos *SourcePosition) (appendResult, 
 		st.cursor = *pos
 	}
 	return appendResult{
-		touched:       len(dirty),
+		touched:       len(touched),
 		newEntities:   st.cube.NumEntities() - entBefore,
 		newProperties: st.cube.Properties.Len() - propBefore,
 		changes:       st.cube.NumChanges(),
-		dirty:         len(st.dirty),
 	}, nil
 }
 
@@ -297,32 +287,12 @@ func (st *Staging) refilter(buf *fieldBuf) {
 // HistorySet of every field currently clearing the MinChanges gate, with
 // funnel statistics identical (up to stage durations) to what a batch
 // filter.Apply over the same changes would report. The result is immutable
-// and safe to train on while appends continue.
+// and safe to train on while appends continue. A field no Append touched
+// since an earlier Snapshot shares its day slice with that snapshot, so
+// HistorySet.ChangedSince between the two skips it without a scan.
 func (st *Staging) Snapshot() (*changecube.HistorySet, filter.Stats, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.snapshotLocked()
-}
-
-// SnapshotDelta is Snapshot plus the dirty-field set: the fields touched
-// by Append since the last successful SnapshotDelta, handed over
-// atomically with the snapshot that reflects them — the contract
-// incremental retraining needs. On error the dirty set stays staged for
-// the next attempt. Plain Snapshot leaves the dirty set untouched.
-func (st *Staging) SnapshotDelta() (*changecube.HistorySet, filter.Stats, map[changecube.FieldKey]bool, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	hs, stats, err := st.snapshotLocked()
-	if err != nil {
-		return nil, stats, nil, err
-	}
-	dirty := st.dirty
-	st.dirty = make(map[changecube.FieldKey]bool)
-	return hs, stats, dirty, nil
-}
-
-// snapshotLocked builds the frozen HistorySet. Caller holds the mutex.
-func (st *Staging) snapshotLocked() (*changecube.HistorySet, filter.Stats, error) {
 	clone := st.cube.Clone()
 	histories := make([]changecube.History, 0, st.eligible)
 	for key, buf := range st.fields {
@@ -358,7 +328,7 @@ func (st *Staging) ordinalsLocked() []int {
 }
 
 // SnapshotCheckpoint returns the feed checkpoint of the most recent
-// successful Snapshot/SnapshotDelta: the cursor and entity ordinals as of
+// successful Snapshot: the cursor and entity ordinals as of
 // the instant the snapshot cube was cloned. The manager reads it after a
 // retrain to persist an epoch whose source checkpoint matches the epoch's
 // cube exactly.
@@ -381,9 +351,6 @@ type StagingStats struct {
 	Fields int `json:"fields"`
 	// EligibleFields counts fields currently clearing the MinChanges gate.
 	EligibleFields int `json:"eligible_fields"`
-	// DirtyFields counts fields touched since the last successful
-	// SnapshotDelta — the pending input of the next incremental retrain.
-	DirtyFields int `json:"dirty_fields"`
 	// FilteredChanges is the day-level change count over eligible fields —
 	// the training-set size of the next retrain.
 	FilteredChanges int `json:"filtered_changes"`
@@ -391,15 +358,6 @@ type StagingStats struct {
 	// changes are staged).
 	SpanStart string `json:"span_start,omitempty"`
 	SpanEnd   string `json:"span_end,omitempty"`
-}
-
-// DirtyCount reports the number of fields touched since the last
-// successful SnapshotDelta (backs the wikistale_staging_dirty_fields
-// gauge).
-func (st *Staging) DirtyCount() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.dirty)
 }
 
 // Stats returns the current staging summary. It walks every staged field
@@ -414,7 +372,6 @@ func (st *Staging) Stats() StagingStats {
 		Fields:          len(st.fields),
 		EligibleFields:  st.eligible,
 		FilteredChanges: st.afterMin,
-		DirtyFields:     len(st.dirty),
 	}
 	if span := st.span(); span.Len() > 0 {
 		s.SpanStart = span.Start.String()

@@ -31,6 +31,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/obs"
 	"github.com/wikistale/wikistale/internal/obs/ring"
 	"github.com/wikistale/wikistale/internal/timeline"
@@ -496,94 +497,99 @@ func (s *Scorer) MarshalBinary() []byte {
 
 // Restore replaces the scorer's state with a MarshalBinary payload.
 // Malformed input returns an error and leaves the scorer unchanged.
-func (s *Scorer) Restore(data []byte) error {
+func (s *Scorer) Restore(data []byte) (err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("quality: state: %w", err)
+		}
+	}()
 	if len(data) < len(stateMagic)+2 || string(data[:len(stateMagic)]) != stateMagic {
-		return fmt.Errorf("quality: state: bad magic")
+		return fmt.Errorf("bad magic")
 	}
 	if v := data[len(stateMagic)]; v != stateVersion {
-		return fmt.Errorf("quality: state version %d, this build reads %d", v, stateVersion)
+		return fmt.Errorf("version %d, this build reads %d", v, stateVersion)
 	}
-	r := &stateReader{data: data, pos: len(stateMagic) + 1}
-	flags, err := r.ReadByte()
+	r := changecube.NewReader(data[len(stateMagic)+1:])
+	flags, err := r.Byte("flags")
 	if err != nil {
 		return err
 	}
-	watermark, err := r.u32("watermark")
+	watermark, err := readU32(r, "watermark")
 	if err != nil {
 		return err
 	}
-	epoch, err := r.uvarint("epoch")
+	epoch, err := r.Uvarint("epoch")
 	if err != nil {
 		return err
 	}
-	epochAsOf, err := r.u32("epoch asof")
+	epochAsOf, err := readU32(r, "epoch asof")
 	if err != nil {
 		return err
 	}
-	tracked, err := r.uvarint("tracked")
+	tracked, err := r.Uvarint("tracked")
 	if err != nil {
 		return err
 	}
-	dropped, err := r.uvarint("dropped")
+	dropped, err := r.Uvarint("dropped")
 	if err != nil {
 		return err
 	}
-	confirmed, err := r.uvarint("confirmed")
+	confirmed, err := r.Uvarint("confirmed")
 	if err != nil {
 		return err
 	}
-	expired, err := r.uvarint("expired")
+	expired, err := r.Uvarint("expired")
 	if err != nil {
 		return err
 	}
-	nfam, err := r.count("families")
+	nfam, err := r.Count("families")
 	if err != nil {
 		return err
 	}
 	families := make(map[string]*outcomeCounts, nfam)
 	for i := 0; i < nfam; i++ {
-		slug, err := r.str("family slug")
+		slug, err := readStr(r, "family slug")
 		if err != nil {
 			return err
 		}
-		c, err := r.uvarint("family confirmed")
+		c, err := r.Uvarint("family confirmed")
 		if err != nil {
 			return err
 		}
-		e, err := r.uvarint("family expired")
+		e, err := r.Uvarint("family expired")
 		if err != nil {
 			return err
 		}
 		families[slug] = &outcomeCounts{Confirmed: c, Expired: e}
 	}
-	npend, err := r.count("pending")
+	npend, err := r.Count("pending")
 	if err != nil {
 		return err
 	}
 	pend := make(map[string]*pending, npend)
 	for i := 0; i < npend; i++ {
 		p := &pending{}
-		if p.page, err = r.str("pending page"); err != nil {
+		if p.page, err = readStr(r, "pending page"); err != nil {
 			return err
 		}
-		if p.prop, err = r.str("pending property"); err != nil {
+		if p.prop, err = readStr(r, "pending property"); err != nil {
 			return err
 		}
-		if p.alertDay, err = r.u32("pending alert day"); err != nil {
+		if p.alertDay, err = readU32(r, "pending alert day"); err != nil {
 			return err
 		}
-		if p.deadline, err = r.u32("pending deadline"); err != nil {
+		if p.deadline, err = readU32(r, "pending deadline"); err != nil {
 			return err
 		}
-		if p.epoch, err = r.uvarint("pending epoch"); err != nil {
+		if p.epoch, err = r.Uvarint("pending epoch"); err != nil {
 			return err
 		}
-		nf, err := r.count("pending families")
+		nf, err := r.Count("pending families")
 		if err != nil {
 			return err
 		}
 		for j := 0; j < nf; j++ {
-			fam, err := r.str("pending family")
+			fam, err := readStr(r, "pending family")
 			if err != nil {
 				return err
 			}
@@ -591,37 +597,37 @@ func (s *Scorer) Restore(data []byte) error {
 		}
 		pend[pendKey(p.page, p.prop)] = p
 	}
-	nrec, err := r.count("recent")
+	nrec, err := r.Count("recent")
 	if err != nil {
 		return err
 	}
 	recent := ring.New[Outcome](recentCap)
 	for i := 0; i < nrec; i++ {
 		var o Outcome
-		if o.Page, err = r.str("recent page"); err != nil {
+		if o.Page, err = readStr(r, "recent page"); err != nil {
 			return err
 		}
-		if o.Property, err = r.str("recent property"); err != nil {
+		if o.Property, err = readStr(r, "recent property"); err != nil {
 			return err
 		}
-		if o.Outcome, err = r.str("recent outcome"); err != nil {
+		if o.Outcome, err = readStr(r, "recent outcome"); err != nil {
 			return err
 		}
-		if o.AlertDay, err = r.str("recent alert day"); err != nil {
+		if o.AlertDay, err = readStr(r, "recent alert day"); err != nil {
 			return err
 		}
-		if o.Day, err = r.str("recent day"); err != nil {
+		if o.Day, err = readStr(r, "recent day"); err != nil {
 			return err
 		}
-		if o.Epoch, err = r.uvarint("recent epoch"); err != nil {
+		if o.Epoch, err = r.Uvarint("recent epoch"); err != nil {
 			return err
 		}
-		nf, err := r.count("recent families")
+		nf, err := r.Count("recent families")
 		if err != nil {
 			return err
 		}
 		for j := 0; j < nf; j++ {
-			fam, err := r.str("recent family")
+			fam, err := readStr(r, "recent family")
 			if err != nil {
 				return err
 			}
@@ -629,8 +635,8 @@ func (s *Scorer) Restore(data []byte) error {
 		}
 		recent.Push(o)
 	}
-	if r.pos != len(data) {
-		return fmt.Errorf("quality: state: %d trailing bytes", len(data)-r.pos)
+	if r.Len() != 0 {
+		return fmt.Errorf("%d trailing bytes", r.Len())
 	}
 
 	s.mu.Lock()
@@ -653,58 +659,20 @@ func (s *Scorer) Restore(data []byte) error {
 	return nil
 }
 
-// stateReader walks a state payload with bounds errors instead of
-// panics (the same discipline as the epoch-store snapshot reader).
-type stateReader struct {
-	data []byte
-	pos  int
-}
-
-func (r *stateReader) ReadByte() (byte, error) {
-	if r.pos >= len(r.data) {
-		return 0, fmt.Errorf("quality: state: unexpected end of payload")
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *stateReader) uvarint(what string) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("quality: state: %s: truncated", what)
-	}
-	return v, nil
-}
-
-func (r *stateReader) u32(what string) (int32, error) {
-	v, err := r.uvarint(what)
+// readU32 reads appendU32's encoding: a uvarint that must fit 32 bits.
+func readU32(r *changecube.Reader, what string) (int32, error) {
+	v, err := r.Uvarint(what)
 	if err != nil {
 		return 0, err
 	}
 	if v > 1<<32-1 {
-		return 0, fmt.Errorf("quality: state: %s out of range", what)
+		return 0, fmt.Errorf("%s out of range", what)
 	}
 	return int32(uint32(v)), nil
 }
 
-func (r *stateReader) count(what string) (int, error) {
-	v, err := r.uvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(r.data)-r.pos) {
-		return 0, fmt.Errorf("quality: state: %s count %d exceeds payload", what, v)
-	}
-	return int(v), nil
-}
-
-func (r *stateReader) str(what string) (string, error) {
-	n, err := r.count(what)
-	if err != nil {
-		return "", err
-	}
-	s := string(r.data[r.pos : r.pos+n])
-	r.pos += n
-	return s, nil
+// readStr reads appendStr's encoding: a length-prefixed string.
+func readStr(r *changecube.Reader, what string) (string, error) {
+	b, err := r.Bytes(what)
+	return string(b), err
 }

@@ -15,7 +15,8 @@ type tracesResponse struct {
 }
 
 // Handler serves the recorder's buffered traces as JSON, newest first.
-// ?limit=N truncates the list; ?trace_id=<id> returns just that trace
+// ?limit=N truncates the list (a malformed or negative N is a 400);
+// ?trace_id=<id> returns just that trace
 // (404 when it has been evicted). ?route=<root> keeps only traces whose
 // root span has that name (the HTTP middleware roots request traces at
 // the route label, so ?route=/v1/stale isolates one endpoint), and
@@ -61,9 +62,13 @@ func (r *Recorder) Handler() http.Handler {
 			traces = kept
 		}
 		if v := req.URL.Query().Get("limit"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil && n >= 0 && n < len(traces) {
-				traces = traces[:n]
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				writeTraceJSON(w, http.StatusBadRequest,
+					map[string]string{"error": "bad limit " + strconv.Quote(v) + ": want a non-negative integer"})
+				return
 			}
+			traces = traces[:min(n, len(traces))]
 		}
 		writeTraceJSON(w, http.StatusOK, tracesResponse{Total: r.Total(), Traces: traces})
 	})

@@ -27,8 +27,9 @@ const (
 	// actually re-run.
 	IncrementalPagesRetrainedTotal = "wikistale_train_incremental_pages_retrained_total"
 
-	// IncrementalDirtyFields is the dirty-field count of the most recent
-	// incremental training.
+	// IncrementalDirtyFields is the size of the most recent training's
+	// input delta: the fields whose filtered histories differ from the
+	// previous training's (0 on a cold or forced build).
 	IncrementalDirtyFields = "wikistale_train_incremental_dirty_fields"
 )
 
@@ -38,5 +39,5 @@ func init() {
 	Default.SetHelp(IncrementalFullTotal, "Correlation trainings that rebuilt every page, by reason.")
 	Default.SetHelp(IncrementalPagesReusedTotal, "Pages whose correlation rules were reused from the previous predictor.")
 	Default.SetHelp(IncrementalPagesRetrainedTotal, "Pages whose pairwise correlation search was re-run.")
-	Default.SetHelp(IncrementalDirtyFields, "Dirty-field count of the most recent incremental training.")
+	Default.SetHelp(IncrementalDirtyFields, "Fields whose filtered history differs from the previous training's (added, vanished, or with other days), as found by the most recent training; 0 on a cold or forced build.")
 }

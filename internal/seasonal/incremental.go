@@ -31,9 +31,10 @@ type IncrementalStats struct {
 }
 
 // TrainIncremental is Train with per-field anchor reuse. dirty lists the
-// fields whose change histories may differ from the previous training
-// (vanished fields included — the caller must report them); prev must
-// come from the same configuration. The result is bit-identical to Train
+// fields whose change histories differ from the previous training's,
+// vanished fields included (core derives it with
+// changecube.HistorySet.ChangedSince); prev must come from the same
+// configuration, and a nil prev.Predictor is a cold build. The result is bit-identical to Train
 // over the same inputs.
 func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
 	prev Previous, dirty map[changecube.FieldKey]bool, forceFull bool) (*Predictor, IncrementalStats, error) {

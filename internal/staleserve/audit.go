@@ -1,6 +1,7 @@
 package staleserve
 
 import (
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -46,13 +47,16 @@ func (s *Server) recordAudit(r *http.Request, ep *epoch, page, property string, 
 }
 
 // handleAudit serves the recent positive predictions, newest first.
-// ?limit=N truncates the list.
+// ?limit=N truncates the list; a malformed or negative N is a 400.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	entries := s.audit.Newest()
 	if v := r.URL.Query().Get("limit"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 && n < len(entries) {
-			entries = entries[:n]
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad limit %q", v))
+			return
 		}
+		entries = entries[:min(n, len(entries))]
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"total":   s.audit.Total(),

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"testing"
 )
@@ -55,6 +57,84 @@ func TestAuditLogEvictsOldest(t *testing.T) {
 		}
 		if e.Page != want {
 			t.Fatalf("entries[%d].page = %q, want %q (newest first)", i, e.Page, want)
+		}
+	}
+}
+
+// TestListLimitParam: /v1/audit and /debug/traces answer a malformed or
+// negative ?limit with 400, as /v1/stale and /v1/catalog do, and
+// otherwise return at most limit entries.
+func TestListLimitParam(t *testing.T) {
+	testServer(t) // trains the shared detector once
+	s := newServer(sharedServer.epoch().det)
+	s.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	ep := s.epoch()
+	f := ep.alerts.alerts[0].Field
+	q := url.Values{
+		"page":     {ep.cube.Pages.Name(int32(ep.cube.Page(f.Entity)))},
+		"property": {ep.cube.Properties.Name(int32(f.Property))},
+	}
+	// More verdicts than the trace buffer holds, fewer than the audit log
+	// does: both lists are stable while the cases below run.
+	for i := 0; i < 100; i++ {
+		doReq(t, s, "/v1/field?"+q.Encode())
+	}
+
+	for _, ep := range []struct{ path, list string }{
+		{"/v1/audit", "entries"},
+		{"/debug/traces", "traces"},
+	} {
+		var all map[string]json.RawMessage
+		var unlimited []json.RawMessage
+		if err := json.Unmarshal(doReq(t, s, ep.path), &all); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(all[ep.list], &unlimited); err != nil {
+			t.Fatal(err)
+		}
+		buffered := len(unlimited)
+		if buffered < 10 {
+			t.Fatalf("GET %s: %d entries, want at least 10", ep.path, buffered)
+		}
+		for _, tc := range []struct {
+			limit string
+			code  int
+			want  int // entries returned; -1 = every buffered entry
+		}{
+			{"abc", http.StatusBadRequest, 0},
+			{"-1", http.StatusBadRequest, 0},
+			{"1.5", http.StatusBadRequest, 0},
+			{"0", http.StatusOK, 0},
+			{"2", http.StatusOK, 2},
+			{"1000", http.StatusOK, -1},
+		} {
+			path := ep.path + "?limit=" + tc.limit
+			rr := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+			if rr.Code != tc.code {
+				t.Fatalf("GET %s = %d, want %d: %s", path, rr.Code, tc.code, rr.Body.String())
+			}
+			var body map[string]json.RawMessage
+			if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+			if tc.code != http.StatusOK {
+				if _, ok := body["error"]; !ok {
+					t.Fatalf("GET %s: 400 without an error message: %s", path, rr.Body.String())
+				}
+				continue
+			}
+			var list []json.RawMessage
+			if err := json.Unmarshal(body[ep.list], &list); err != nil {
+				t.Fatalf("GET %s: .%s: %v", path, ep.list, err)
+			}
+			want := tc.want
+			if want < 0 {
+				want = buffered
+			}
+			if len(list) != want {
+				t.Fatalf("GET %s: %d entries, want %d", path, len(list), want)
+			}
 		}
 	}
 }

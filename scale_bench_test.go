@@ -146,10 +146,7 @@ func runScale(b *testing.B, scale int) {
 	}
 	ingestDur := time.Since(ingestStart)
 
-	// SnapshotDelta rather than Snapshot: this drains the dirty-field set
-	// accumulated during ingest, so the post-delta retrain below sees only
-	// the delta's fields as dirty — the live steady state.
-	hs, stats, _, err := st.SnapshotDelta()
+	hs, stats, err := st.Snapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,22 +236,25 @@ func runScale(b *testing.B, scale int) {
 	if _, err := st.Append(delta); err != nil {
 		b.Fatal(err)
 	}
-	hsd, statsd, dirty, err := st.SnapshotDelta()
+	hsd, statsd, err := st.Snapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
-	report.Quality.DirtyFields = len(dirty)
+	// The retrain derives this delta itself; timing it here shows what the
+	// derivation costs against a packed previous set.
+	diffStart := time.Now()
+	report.Quality.DirtyFields = len(hsd.ChangedSince(hs))
+	b.Logf("delta: %d of %d fields changed, derived in %v",
+		report.Quality.DirtyFields, hsd.Len(), time.Since(diffStart).Round(10*time.Microsecond))
 
 	train := func(forceFull bool, reps int) (time.Duration, *core.Detector) {
 		best := time.Duration(1<<62 - 1)
 		var det *core.Detector
 		for r := 0; r < reps; r++ {
 			t0 := time.Now()
-			d, err := core.TrainFilteredHinted(hsd, statsd, coreCfg, core.TrainHints{
-				Incremental: true,
-				Prev:        prev,
-				DirtyFields: dirty,
-				ForceFull:   forceFull,
+			d, err := core.TrainFilteredHintedCtx(ctx, hsd, statsd, coreCfg, core.TrainHints{
+				Prev:      prev,
+				ForceFull: forceFull,
 			})
 			if err != nil {
 				b.Fatal(err)
