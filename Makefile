@@ -37,7 +37,8 @@ bench:
 
 # Fuzz every parser/decoder for a short burst each: the cube codec
 # through the .wcc reader, the wikitext infobox parser, the counter-anomaly
-# detector, the streaming JSONL event format, and the epoch store's log
+# detector, the streaming JSONL event format (and its line decoder's fast
+# path against encoding/json), and the epoch store's log
 # and snapshot decoders (crash-recovery surfaces: they parse whatever a
 # torn write left on disk; the snapshot decoder runs the same cube codec).
 FUZZTIME ?= 10s
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseInfoboxes$$' -fuzztime $(FUZZTIME) ./internal/wikitext
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectCounterAnomalies$$' -fuzztime $(FUZZTIME) ./internal/values
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/ingest
+	$(GO) test -run '^$$' -fuzz '^FuzzParseEventLine$$' -fuzztime $(FUZZTIME) ./internal/ingest
 	$(GO) test -run '^$$' -fuzz '^FuzzEpochLogDecode$$' -fuzztime $(FUZZTIME) ./internal/epochstore
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/epochstore
 

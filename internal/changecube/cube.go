@@ -7,8 +7,9 @@
 package changecube
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/wikistale/wikistale/internal/timeline"
 )
@@ -226,6 +227,18 @@ func Less(a, b Change) bool {
 	return lessAt(a, b)
 }
 
+// compare is Less as a three-way comparison, for slices.SortStableFunc.
+func compare(a, b Change) int {
+	switch {
+	case a.Time != b.Time:
+		return cmp.Compare(a.Time, b.Time)
+	case a.Entity != b.Entity:
+		return cmp.Compare(a.Entity, b.Entity)
+	default:
+		return cmp.Compare(a.Property, b.Property)
+	}
+}
+
 // Sort arranges the changes in canonical order. It is a no-op when the cube
 // is already sorted. Sorting rebuilds the packed storage, so any append-
 // order indexes captured before the call are invalidated.
@@ -234,7 +247,7 @@ func (c *Cube) Sort() {
 		return
 	}
 	changes := c.materialize()
-	sort.SliceStable(changes, func(i, j int) bool { return Less(changes[i], changes[j]) })
+	slices.SortStableFunc(changes, compare)
 	c.log.replace(changes)
 	c.sorted = true
 	if n := c.log.len(); n > 0 {

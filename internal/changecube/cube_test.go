@@ -1,6 +1,10 @@
 package changecube
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 
 	"github.com/wikistale/wikistale/internal/timeline"
@@ -79,6 +83,36 @@ func TestCubeSortStableTieBreak(t *testing.T) {
 	}
 	if chs[1].Entity != es[1] {
 		t.Fatalf("second change entity = %d, want %d", chs[1].Entity, es[1])
+	}
+}
+
+// TestCubeSortMatchesSliceStable: cubes whose changes tie heavily on
+// (time, entity, property) must sort to exactly the order sort.SliceStable
+// under Less gives — equal keys keep their append order.
+func TestCubeSortMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 200; round++ {
+		c := New()
+		ents := []EntityID{c.AddEntityNamed("t", "a"), c.AddEntityNamed("t", "b")}
+		props := []PropertyID{PropertyID(c.Properties.Intern("x")), PropertyID(c.Properties.Intern("y"))}
+		n := rng.Intn(300)
+		var want []Change
+		for i := 0; i < n; i++ {
+			ch := Change{
+				Time:     int64(rng.Intn(4)),
+				Entity:   ents[rng.Intn(len(ents))],
+				Property: props[rng.Intn(len(props))],
+				Value:    strconv.Itoa(i), // identifies the append position
+				Kind:     ChangeKind(rng.Intn(3)),
+				Bot:      rng.Intn(2) == 0,
+			}
+			c.Add(ch)
+			want = append(want, ch)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return Less(want[i], want[j]) })
+		if got := c.Changes(); !slices.Equal(got, want) {
+			t.Fatalf("round %d: %d changes sort differently from sort.SliceStable", round, n)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/filter"
@@ -43,7 +44,7 @@ func (d *Detector) Ingest(batch []changecube.Change) error {
 	}
 	dayUpdates := make(map[changecube.FieldKey][]timeline.Day, len(byField))
 	for key, chs := range byField {
-		sort.SliceStable(chs, func(i, j int) bool { return chs[i].Time < chs[j].Time })
+		slices.SortStableFunc(chs, func(a, b changecube.Change) int { return cmp.Compare(a.Time, b.Time) })
 		if days := filter.FieldDays(chs, d.cfg.Filter); len(days) > 0 {
 			dayUpdates[key] = days
 		}

@@ -94,49 +94,6 @@ func (s *Stats) record(name string, span *obs.Span, in, out int) {
 	obs.Default.Counter("wikistale_filter_stage_out_total", labels).Add(uint64(out))
 }
 
-// FieldFunnel is the per-field view of the §4 funnel: the surviving change
-// days of one field plus the change count after each per-field stage. The
-// live-ingestion staging cube keeps one of these per touched field and
-// re-derives it on append, so the aggregate of all FieldFunnels always
-// equals what a batch Apply over the same changes would report.
-type FieldFunnel struct {
-	// Raw is the number of raw changes that entered the funnel.
-	Raw int
-	// AfterBotReverts counts changes surviving stage 1.
-	AfterBotReverts int
-	// AfterDayDedup counts day-representatives surviving stage 2.
-	AfterDayDedup int
-	// Days are the update days surviving stage 3 (creation/deletion
-	// removal), strictly increasing. len(Days) is the stage-3 output; the
-	// corpus-level MinChanges gate (stage 4) is applied by the caller.
-	Days []timeline.Day
-}
-
-// ApplyField runs the per-field stages of the pipeline — bot-revert
-// removal, day-level dedup, creation/deletion removal — over one field's
-// chronological change list. The corpus-level minimum-change rule (stage 4)
-// is deliberately not applied: it is an eligibility decision, not a
-// per-batch one, which is what lets live ingestion reuse this entry point
-// incrementally. The returned Days slice is freshly allocated.
-func ApplyField(chs []changecube.Change, cfg Config) FieldFunnel {
-	f := FieldFunnel{Raw: len(chs)}
-	kept := dropBotReverts(chs, cfg.BotRevertHorizonDays)
-	f.AfterBotReverts = len(kept)
-	reps := DayRepresentatives(kept)
-	f.AfterDayDedup = len(reps)
-	for _, rep := range reps {
-		if rep.Kind == changecube.Update {
-			f.Days = append(f.Days, rep.Day)
-		}
-	}
-	return f
-}
-
-// FieldDays is ApplyField reduced to the surviving change days.
-func FieldDays(chs []changecube.Change, cfg Config) []timeline.Day {
-	return ApplyField(chs, cfg).Days
-}
-
 // Apply runs the pipeline over cube and returns the surviving day-level
 // histories plus the funnel statistics.
 func Apply(cube *changecube.Cube, cfg Config) (*changecube.HistorySet, Stats, error) {

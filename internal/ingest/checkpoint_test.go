@@ -254,3 +254,62 @@ func TestStagingRestoreOrdinals(t *testing.T) {
 		t.Fatal("sequential-ordinal restore unexpectedly matched; test corpus too weak")
 	}
 }
+
+// cancelingReader hands out at most step bytes per Read and cancels its
+// context once after bytes have been read: a feed whose consumer is shut
+// down while a batch is half parsed.
+type cancelingReader struct {
+	r      io.Reader
+	step   int
+	after  int
+	read   int
+	cancel context.CancelFunc
+}
+
+func (c *cancelingReader) Read(p []byte) (int, error) {
+	if len(p) > c.step {
+		p = p[:c.step]
+	}
+	n, err := c.r.Read(p)
+	c.read += n
+	if c.read >= c.after {
+		c.cancel()
+	}
+	return n, err
+}
+
+// TestJSONLCancelMidBatchKeepsParsedEvents: when the context ends in the
+// middle of a batch, Next must hand back the events it already parsed,
+// because Position has moved past them — the returned events plus a
+// resume from Position must be the feed exactly.
+func TestJSONLCancelMidBatchKeepsParsedEvents(t *testing.T) {
+	var events []Event
+	for i := 0; i < 3; i++ {
+		events = append(events, sampleEvents()...)
+	}
+	var buf bytes.Buffer
+	if err := WriteEvents(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	feed := buf.Bytes()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := NewJSONLSource(&cancelingReader{r: bytes.NewReader(feed), step: 100, after: 300, cancel: cancel})
+	got, err := src.Next(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Next returned %v, want context.Canceled", err)
+	}
+	pos := src.Position()
+	if pos.Line == 0 || pos.Line >= len(events) {
+		t.Fatalf("cancel landed at line %d of %d, want mid-feed", pos.Line, len(events))
+	}
+	resumed, err := ResumeJSONL(bytes.NewReader(feed), pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, drain(t, resumed)...)
+	if !reflect.DeepEqual(got, events) {
+		t.Fatalf("returned plus resumed events = %d, feed has %d (position %+v)", len(got), len(events), pos)
+	}
+}

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"github.com/wikistale/wikistale/internal/changecube"
+	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/filter"
 )
 
@@ -266,4 +268,134 @@ func TestJSONLCorpusKeepsInfoboxes(t *testing.T) {
 	if got, want := inOut(stats), inOut(want); !reflect.DeepEqual(got, want) {
 		t.Errorf("funnel mismatch:\nreplayed  %v\ngenerated %v", got, want)
 	}
+}
+
+// decodeReference is the decoder the fast path must agree with:
+// encoding/json plus Validate.
+func decodeReference(line []byte) (Event, error) {
+	var ev Event
+	if err := json.Unmarshal(bytes.TrimSpace(line), &ev); err != nil {
+		return Event{}, err
+	}
+	if err := ev.Validate(); err != nil {
+		return Event{}, err
+	}
+	return ev, nil
+}
+
+// TestWriteEventsLinesTakeFastPath: every line WriteEvents writes for a
+// generated corpus, and for events with and without each omitempty
+// field, takes the fast path and decodes to the event written.
+func TestWriteEventsLinesTakeFastPath(t *testing.T) {
+	events := append(sampleEvents(), CubeEvents(smallCube(t))...)
+	var buf bytes.Buffer
+	if err := WriteEvents(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	escaped := 0
+	for i, line := range bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n")) {
+		ev, ok := parseCanonicalEvent(line)
+		if !ok {
+			if !bytes.Contains(line, []byte(`\`)) {
+				t.Fatalf("line %d has no escape but missed the fast path: %s", i+1, line)
+			}
+			escaped++
+			continue
+		}
+		if ev != events[i] {
+			t.Fatalf("line %d: fast path decoded %+v, wrote %+v", i+1, ev, events[i])
+		}
+	}
+	if escaped > len(events)/100 {
+		t.Fatalf("%d of %d lines missed the fast path", escaped, len(events))
+	}
+}
+
+// FuzzParseEventLine: on any line, parseEventLine (fast path with
+// encoding/json fallback) and encoding/json + Validate must both reject,
+// or both accept and return the same event; and whatever the fast path
+// accepts on its own, encoding/json decodes to the same event.
+func FuzzParseEventLine(f *testing.F) {
+	var seed bytes.Buffer
+	_ = WriteEvents(&seed, append(sampleEvents(), Event{Time: -5, Page: `a "quoted" <b> & c`, Template: "t", Property: "p", Value: " "}))
+	for _, line := range bytes.Split(seed.Bytes(), []byte("\n")) {
+		f.Add(line)
+	}
+	for _, line := range []string{
+		`{"time":1,"page":"a","template":"t","property":"p","kind":"update"}`,
+		`{"time":1,"page":"a","template":"t","infobox":0,"property":"p","value":"","kind":"update","bot":false}`,
+		`{"time":1,"page":"a\"b","template":"t","property":"p","kind":"update"}`,
+		`{"time":1,"page":"<b>","template":"t","property":"p","kind":"update"}`,
+		"{\"time\":1,\"page\":\"a\xffb\",\"template\":\"t\",\"property\":\"p\",\"kind\":\"update\"}",
+		"{\"time\":1,\"page\":\"\xed\xa0\x80\",\"template\":\"t\",\"property\":\"p\",\"kind\":\"update\"}",
+		"{\"time\":1,\"page\":\"a\tb\",\"template\":\"t\",\"property\":\"p\",\"kind\":\"update\"}",
+		`{"page":"a","time":1,"template":"t","property":"p","kind":"update"}`,
+		`{"Time":1,"PAGE":"a","template":"t","property":"p","kind":"update"}`,
+		`{"time":1,"page":"a","template":"t","property":"p","kind":"update","extra":[1,{"x":null}]}`,
+		`{"time":1,"time":2,"page":"a","template":"t","property":"p","kind":"update"}`,
+		`{"time":1,"page":"a","template":"t","property":"p","value":"x","value":"y","kind":"update"}`,
+		`{"time":1e3,"page":"a","template":"t","property":"p","kind":"update"}`,
+		`{"time":-0,"page":"a","template":"t","property":"p","kind":"update"}`,
+		`{"time":01,"page":"a","template":"t","property":"p","kind":"update"}`,
+		`{"time":9223372036854775807,"page":"a","template":"t","property":"p","kind":"update"}`,
+		`{"time":-9223372036854775808,"page":"a","template":"t","property":"p","kind":"update"}`,
+		`{"time":9223372036854775808,"page":"a","template":"t","property":"p","kind":"update"}`,
+		`{"time":null,"page":"a","template":"t","property":"p","kind":"update"}`,
+		`{"time":1,"page":"a","template":"t","infobox":-1,"property":"p","kind":"update"}`,
+		`{"time":1,"page":"a","template":"t","property":"p","kind":"Update"}`,
+		`{"time":1,"page":"a","template":"t","property":"p","kind":"update","bot":null}`,
+		`{"time":1,"page":"","template":"t","property":"p","kind":"update"}`,
+		`{"time":1,"page":"a","template":"t","property":"p","kind":"update"}garbage`,
+		`{"time":1,"page":"a","template":"t","property":"p","kind":"update"}}`,
+		` {"time":1, "page":"a","template":"t","property":"p","kind":"update"} `,
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		want, wantErr := decodeReference(line)
+		got, err := parseEventLine(line)
+		if errors.Is(err, errBlankLine) {
+			return // the source skips blank lines before decoding
+		}
+		if (err == nil) != (wantErr == nil) || got != want {
+			t.Fatalf("%q: parseEventLine = %+v, %v; encoding/json = %+v, %v", line, got, err, want, wantErr)
+		}
+		if fast, ok := parseCanonicalEvent(bytes.TrimSpace(line)); ok {
+			var ref Event
+			if err := json.Unmarshal(bytes.TrimSpace(line), &ref); err != nil || ref != fast {
+				t.Fatalf("%q: fast path = %+v; encoding/json = %+v, %v", line, fast, ref, err)
+			}
+		}
+	})
+}
+
+// BenchmarkJSONLDecode reads the small generated corpus, as WriteEvents
+// writes it, through a JSONLSource and reports the cost per event.
+func BenchmarkJSONLDecode(b *testing.B) {
+	cube, _, err := dataset.Generate(dataset.Small())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteEvents(&buf, CubeEvents(cube)); err != nil {
+		b.Fatal(err)
+	}
+	feed := buf.Bytes()
+	b.SetBytes(int64(len(feed)))
+	b.ResetTimer()
+	events := 0
+	for i := 0; i < b.N; i++ {
+		src := NewJSONLSource(bytes.NewReader(feed))
+		for {
+			batch, err := src.Next(context.Background())
+			events += len(batch)
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

@@ -25,27 +25,39 @@ type pageTemplate struct {
 }
 
 // fieldBuf is the per-field staging state: the raw chronological change
-// list plus the cached result of the per-field filter stages over it.
-// Changes are held as indexes into the staging cube's packed log (4 bytes
-// per change instead of a 40-byte struct plus value string), which is only
-// sound because the staging cube is never sorted — append-order indexes
-// stay stable for its whole life.
+// list plus the per-field filter funnel over it, which ResumeField keeps
+// up to date. Changes are held as indexes into the staging cube's packed
+// log (4 bytes per change instead of a 40-byte struct plus value string),
+// which is only sound because the staging cube is never sorted —
+// append-order indexes stay stable for its whole life.
 type fieldBuf struct {
 	raw    []uint32
 	funnel filter.FieldFunnel
 }
 
+// stagedChanges is a field's raw change list read through the staging
+// cube's packed log, the input of filter.ResumeField.
+type stagedChanges struct {
+	cube *changecube.Cube
+	raw  []uint32
+}
+
+func (s stagedChanges) Len() int                   { return len(s.raw) }
+func (s stagedChanges) At(i int) changecube.Change { return s.cube.ChangeAt(int(s.raw[i])) }
+
 // Staging is the mutable ingestion buffer: a change cube that grows as
 // events arrive, with the §4 per-field noise stages (bot-revert removal,
-// day dedup, creation/deletion removal) re-applied incrementally to every
-// touched field and the corpus-level MinChanges gate re-checked on append.
-// Snapshot freezes the current state into an immutable HistorySet over a
-// cloned cube, which is what the background retrainer feeds to
-// core.TrainFiltered.
+// day dedup, creation/deletion removal) resumed on every touched field
+// from the first position the batch changed, and the corpus-level
+// MinChanges gate re-checked on append. Snapshot freezes the current
+// state into an immutable HistorySet over a cloned cube, which is what
+// the background retrainer feeds to core.TrainFilteredHintedCtx.
 //
 // All methods are safe for concurrent use; Append and Snapshot serialize
-// on one mutex, so appends pause only for the O(changes) cube clone, never
-// for a retrain.
+// on one mutex, so appends pause only for the cube clone — the change log
+// shares its sealed chunks and copies the open one (O(chunk), not
+// O(changes)), plus the dictionaries and entity table — never for a
+// retrain.
 type Staging struct {
 	mu  sync.Mutex
 	cfg filter.Config
@@ -54,11 +66,6 @@ type Staging struct {
 	entIdx  map[entityKey]changecube.EntityID
 	ordinal map[pageTemplate]int // next free ordinal per (page, template)
 	fields  map[changecube.FieldKey]*fieldBuf
-
-	// scratch is the reusable materialization buffer refilter runs the
-	// funnel over — one allocation amortized across every refilter instead
-	// of a resident []Change per field.
-	scratch []changecube.Change
 
 	// Aggregate funnel counters, maintained by per-field delta so they
 	// always match what a batch filter.Apply over the same changes reports.
@@ -144,7 +151,7 @@ func NewStagingFromCubeAt(cube *changecube.Cube, cfg filter.Config, ordinals []i
 		return true
 	})
 	for _, buf := range st.fields {
-		st.refilter(buf)
+		st.refilter(buf, 0)
 	}
 	// The buffer's state corresponds to pos exactly, so that is its
 	// snapshot checkpoint until the first real snapshot supersedes it.
@@ -189,13 +196,18 @@ func (st *Staging) appendAt(events []Event, pos *SourcePosition) (appendResult, 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	entBefore, propBefore := st.cube.NumEntities(), st.cube.Properties.Len()
-	touched := make(map[changecube.FieldKey]*fieldBuf)
+	// touched maps each field the batch touched to the first raw position
+	// the batch changed in it: the smallest insertion position, since an
+	// insertion only shifts the positions after it.
+	touched := make(map[*fieldBuf]int)
 	for _, ev := range events {
-		key := st.stage(ev)
-		touched[key] = st.fields[key]
+		buf, pos := st.stage(ev)
+		if from, ok := touched[buf]; !ok || pos < from {
+			touched[buf] = pos
+		}
 	}
-	for _, buf := range touched {
-		st.refilter(buf)
+	for buf, from := range touched {
+		st.refilter(buf, from)
 	}
 	st.appended += uint64(len(events))
 	if pos != nil {
@@ -209,9 +221,10 @@ func (st *Staging) appendAt(events []Event, pos *SourcePosition) (appendResult, 
 	}, nil
 }
 
-// stage interns one event into the cube and its field buffer. Caller holds
+// stage interns one event into the cube and its field buffer, returning
+// the buffer and the raw position the change was inserted at. Caller holds
 // the mutex.
-func (st *Staging) stage(ev Event) changecube.FieldKey {
+func (st *Staging) stage(ev Event) (*fieldBuf, int) {
 	templateID := changecube.TemplateID(st.cube.Templates.Intern(ev.Template))
 	pageID := changecube.PageID(st.cube.Pages.Intern(ev.Page))
 	propID := changecube.PropertyID(st.cube.Properties.Intern(ev.Property))
@@ -250,23 +263,17 @@ func (st *Staging) stage(ev Event) changecube.FieldKey {
 	buf.raw = append(buf.raw, 0)
 	copy(buf.raw[i+1:], buf.raw[i:])
 	buf.raw[i] = idx
-	return fk
+	return buf, i
 }
 
-// refilter recomputes one field's funnel and folds the delta into the
-// aggregate counters. Caller holds the mutex. The funnel's Days slice is
-// freshly allocated on every recompute, so slices handed out by earlier
-// Snapshots stay valid.
-func (st *Staging) refilter(buf *fieldBuf) {
+// refilter brings one field's funnel up to date with its raw list, which
+// changed at position from onwards, and folds the delta into the aggregate
+// counters. Caller holds the mutex. ResumeField never rewrites a Days
+// entry in place, so slices handed out by earlier Snapshots stay valid.
+func (st *Staging) refilter(buf *fieldBuf, from int) {
 	old := buf.funnel
 	oldEligible := len(old.Days) >= st.cfg.MinChanges
-	st.scratch = st.scratch[:0]
-	for _, idx := range buf.raw {
-		st.scratch = append(st.scratch, st.cube.ChangeAt(int(idx)))
-	}
-	// ApplyField never retains its input (it reslices fresh and allocates
-	// Days anew), so the scratch buffer is safe to reuse next call.
-	buf.funnel = filter.ApplyField(st.scratch, st.cfg)
+	filter.ResumeField(&buf.funnel, stagedChanges{st.cube, buf.raw}, from, st.cfg)
 	newEligible := len(buf.funnel.Days) >= st.cfg.MinChanges
 
 	st.raw += buf.funnel.Raw - old.Raw
@@ -287,8 +294,9 @@ func (st *Staging) refilter(buf *fieldBuf) {
 // HistorySet of every field currently clearing the MinChanges gate, with
 // funnel statistics identical (up to stage durations) to what a batch
 // filter.Apply over the same changes would report. The result is immutable
-// and safe to train on while appends continue. A field no Append touched
-// since an earlier Snapshot shares its day slice with that snapshot, so
+// and safe to train on while appends continue. A field whose days no
+// Append changed since an earlier Snapshot shares its day slice with that
+// snapshot, so
 // HistorySet.ChangedSince between the two skips it without a scan.
 func (st *Staging) Snapshot() (*changecube.HistorySet, filter.Stats, error) {
 	st.mu.Lock()
@@ -297,7 +305,10 @@ func (st *Staging) Snapshot() (*changecube.HistorySet, filter.Stats, error) {
 	histories := make([]changecube.History, 0, st.eligible)
 	for key, buf := range st.fields {
 		if len(buf.funnel.Days) >= st.cfg.MinChanges {
-			histories = append(histories, changecube.NewHistory(key, buf.funnel.Days))
+			// Capped, so a holder appending to its days can never write
+			// into the capacity ResumeField grows the funnel into.
+			days := buf.funnel.Days
+			histories = append(histories, changecube.NewHistory(key, days[:len(days):len(days)]))
 		}
 	}
 	stats := filter.Stats{Stages: []filter.StageStats{

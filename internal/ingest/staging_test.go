@@ -3,6 +3,8 @@ package ingest
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/wikistale/wikistale/internal/changecube"
@@ -265,5 +267,62 @@ func TestStagingStatsSpan(t *testing.T) {
 	}
 	if s.Changes != cube.NumChanges() {
 		t.Fatalf("changes = %d, want %d", s.Changes, cube.NumChanges())
+	}
+}
+
+// TestStagingResumedFunnelsMatchApplyField: every field's staged funnel,
+// resumed from the first position each batch changed, must equal
+// filter.ApplyField over the field's whole staged list after every batch —
+// with multi-change days, creates and deletes, bot reverts on the edge of
+// the horizon and events arriving after ones they precede.
+func TestStagingResumedFunnelsMatchApplyField(t *testing.T) {
+	cfg := filter.Default()
+	const day = 86400
+	horizon := int64(cfg.BotRevertHorizonDays) * day
+	rng := rand.New(rand.NewSource(5))
+	var events []Event
+	for f := 0; f < 40; f++ {
+		prop := string(rune('a' + f%8))
+		page := string(rune('A' + f/8))
+		t0, prev, val := int64(rng.Intn(5))*day, "", ""
+		for n := 2 + rng.Intn(30); n > 0; n-- {
+			t0 += []int64{day, 3 * day, 3600, 60}[rng.Intn(4)]
+			prev, val = val, string(rune('0'+rng.Intn(3)))
+			kind := []changecube.ChangeKind{changecube.Update, changecube.Update, changecube.Update, changecube.Create, changecube.Delete}[rng.Intn(5)]
+			events = append(events, Event{Time: t0, Page: page, Template: "t", Property: prop, Value: val, Kind: kind})
+			if kind == changecube.Update && rng.Intn(3) == 0 {
+				t0 += horizon + int64(rng.Intn(3)-1)
+				events = append(events, Event{Time: t0, Page: page, Template: "t", Property: prop, Value: prev, Kind: changecube.Update, Bot: true})
+				val = prev
+			}
+		}
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+	for k := 0; k < len(events)/10; k++ { // a tenth of the feed arrives late
+		i := rng.Intn(len(events))
+		j := i + rng.Intn(len(events)-i)
+		ev := events[i]
+		events = slices.Insert(slices.Delete(events, i, i+1), j, ev)
+	}
+
+	st, err := NewStaging(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(events) > 0 {
+		batch := events[:min(1+rng.Intn(30), len(events))]
+		events = events[len(batch):]
+		if _, err := st.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+		for key, buf := range st.fields {
+			chs := make([]changecube.Change, len(buf.raw))
+			for i, idx := range buf.raw {
+				chs[i] = st.cube.ChangeAt(int(idx))
+			}
+			if want := filter.ApplyField(chs, cfg); !reflect.DeepEqual(buf.funnel, want) {
+				t.Fatalf("field %v after %d changes:\nstaged %+v\nfresh  %+v", key, len(chs), buf.funnel, want)
+			}
+		}
 	}
 }
