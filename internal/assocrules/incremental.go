@@ -32,9 +32,6 @@ type IncrementalStats struct {
 	// (tail holdout under a moved span re-draws every holdout).
 	Full       bool
 	FullReason string
-	// DirtyFields is the number of fields whose histories differ from the
-	// previous training's (0 on a cold or forced build).
-	DirtyFields int
 	// TemplatesTotal counts distinct templates among the histories;
 	// TemplatesReused + TemplatesRetrained == TemplatesTotal.
 	TemplatesTotal     int
@@ -42,111 +39,71 @@ type IncrementalStats struct {
 	TemplatesRetrained int
 }
 
-// TrainIncremental is Train with per-template rule reuse. dirty lists the
-// fields whose change histories differ from the previous training's,
-// vanished fields included (core derives it with
-// changecube.HistorySet.ChangedSince). prev must come from the same
-// configuration (reuse across configs is unsound and not detected); a nil
-// prev.Predictor is a cold build.
-// The result is bit-identical to Train over the same inputs.
+// TrainIncremental is Train with per-template rule reuse. delta is what
+// changed since prev, which must come from the same configuration (reuse
+// across configs is unsound and not detected); changecube.Cold with a zero
+// prev is a cold build. The result is bit-identical to Train over the same
+// inputs.
 //
-// A template is retrained when it contains a dirty field or — if the span
-// moved — any field whose effective transaction days (in-span days below
-// the whole-week cutoff) differ between the two spans. Week buckets are
+// A template is retrained when changecube.DirtyUnits marks it: it holds a
+// changed field, or a field whose effective transaction days (in-span days
+// below the whole-week cutoff) moved with the span. Week buckets are
 // anchored at span.Start, so a moved anchor re-buckets everything and
 // forces a full rebuild, as do the two couplings that break template
 // locality: global support scope, and the tail holdout under a moved span.
 func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
-	prev Previous, dirty map[changecube.FieldKey]bool, forceFull bool) (*Predictor, IncrementalStats, error) {
+	prev Previous, delta changecube.Delta) (*Predictor, IncrementalStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, IncrementalStats{}, err
 	}
-	stats := IncrementalStats{DirtyFields: len(dirty)}
-	reason := ""
 	switch {
-	case forceFull:
-		reason = "forced"
-	case prev.Predictor == nil:
-		reason = "cold"
 	case cfg.SupportScope == Global:
-		reason = "global_scope"
+		delta = delta.Rebuild("global_scope")
 	case span.Start != prev.Span.Start:
-		reason = "span_start"
+		delta = delta.Rebuild("span_start")
 	case cfg.ValidationScheme == HoldoutTail && span != prev.Span:
-		reason = "span_tail"
+		delta = delta.Rebuild("span_tail")
 	}
 	cube := hs.Cube()
-	if reason != "" {
-		p, err := Train(hs, span, cfg)
-		if err != nil {
-			return nil, IncrementalStats{}, err
-		}
-		stats.Full, stats.FullReason = true, reason
-		stats.TemplatesTotal = countTemplates(hs, cube)
-		stats.TemplatesRetrained = stats.TemplatesTotal
-		return p, stats, nil
-	}
+	// Only whole weeks feed transactions; the trailing partial week is
+	// dropped. A span extension can promote previously dropped days into a
+	// completed week, so the rule compares the effective day windows.
+	dirty := changecube.DirtyUnits(hs, delta,
+		effectiveSpan(prev.Span, cfg.PeriodDays), effectiveSpan(span, cfg.PeriodDays),
+		func(f changecube.FieldKey) changecube.TemplateID { return cube.Template(f.Entity) })
 
-	dirtyTemplates := make(map[changecube.TemplateID]bool)
-	for f := range dirty {
-		dirtyTemplates[cube.Template(f.Entity)] = true
-	}
+	stats := IncrementalStats{Full: dirty.Full != "", FullReason: dirty.Full}
 	templates := make(map[changecube.TemplateID]bool)
-	if span != prev.Span {
-		// Only whole weeks feed transactions; the trailing partial week is
-		// dropped. A span extension can promote previously dropped days
-		// into a completed week, so compare the effective day windows.
-		effPrev := effectiveSpan(prev.Span, cfg.PeriodDays)
-		effNow := effectiveSpan(span, cfg.PeriodDays)
-		for _, h := range hs.Histories() {
-			t := cube.Template(h.Field.Entity)
+	for _, h := range hs.Histories() {
+		t := cube.Template(h.Field.Entity)
+		if !templates[t] {
 			templates[t] = true
-			if dirtyTemplates[t] {
-				continue
+			if dirty.Has(t) {
+				stats.TemplatesRetrained++
 			}
-			if !h.SameIn(effPrev, effNow) {
-				dirtyTemplates[t] = true
-			}
-		}
-	} else {
-		for _, h := range hs.Histories() {
-			templates[cube.Template(h.Field.Entity)] = true
 		}
 	}
-
 	stats.TemplatesTotal = len(templates)
-	for t := range dirtyTemplates {
-		if templates[t] {
-			stats.TemplatesRetrained++
-		}
-	}
 	stats.TemplatesReused = stats.TemplatesTotal - stats.TemplatesRetrained
 
 	// Re-mine the dirty templates only: group, mine, and validate over the
 	// subset, then graft the clean templates' previous rules back in.
-	tagged := buildTaggedFiltered(hs, span, cfg.PeriodDays, func(t changecube.TemplateID) bool {
-		return dirtyTemplates[t]
-	})
-	fresh, err := trainTagged(tagged, span, cfg)
+	fresh, err := trainTagged(buildTaggedFiltered(hs, span, cfg.PeriodDays, dirty.Has), span, cfg)
 	if err != nil {
 		return nil, IncrementalStats{}, err
 	}
-	var rules []Rule
-	if n := len(prev.Predictor.rules) + len(fresh.rules); n > 0 {
-		rules = make([]Rule, 0, n)
-	}
-	for _, r := range prev.Predictor.rules {
-		if !dirtyTemplates[r.Template] {
-			rules = append(rules, r)
+	var kept []Rule
+	if dirty.Full == "" {
+		for _, r := range prev.Predictor.rules {
+			if !dirty.Units[r.Template] {
+				kept = append(kept, r)
+			}
 		}
 	}
-	rules = append(rules, fresh.rules...)
-	if len(rules) == 0 {
-		// Full training leaves rules nil when nothing survives; match it so
-		// the incremental result stays DeepEqual-identical.
-		rules = nil
+	if len(kept) == 0 {
+		return fresh, stats, nil
 	}
-	return buildPredictor(rules), stats, nil
+	return buildPredictor(append(kept, fresh.rules...)), stats, nil
 }
 
 // effectiveSpan is the whole-week prefix of span: the window whose days
@@ -159,13 +116,4 @@ func effectiveSpan(span timeline.Span, periodDays int) timeline.Span {
 		return span
 	}
 	return timeline.Span{Start: span.Start, End: span.Start + timeline.Day(nWeeks*periodDays)}
-}
-
-// countTemplates counts the distinct templates among the histories.
-func countTemplates(hs *changecube.HistorySet, cube *changecube.Cube) int {
-	seen := make(map[changecube.TemplateID]bool)
-	for _, h := range hs.Histories() {
-		seen[cube.Template(h.Field.Entity)] = true
-	}
-	return len(seen)
 }

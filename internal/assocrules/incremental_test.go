@@ -90,7 +90,7 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 	hs := randomTemplateSet(t, rng, 5, 4, 4, 90)
 	span := timeline.NewSpan(0, 70)
 
-	prevP, stats, err := TrainIncremental(hs, span, cfg, Previous{}, nil, false)
+	prevP, stats, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 		if step%3 == 2 {
 			span = timeline.NewSpan(span.Start, span.End+4) // live span advance
 		}
-		inc, stats, err := TrainIncremental(hs, span, cfg, prev, dirty, false)
+		inc, stats, err := TrainIncremental(hs, span, cfg, prev, changecube.Delta{Changed: dirty})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestIncrementalFullFallbacks(t *testing.T) {
 	cfg := lenientConfig()
 	hs := randomTemplateSet(t, rng, 4, 4, 4, 90)
 	span := timeline.NewSpan(7, 70)
-	p1, _, err := TrainIncremental(hs, span, cfg, Previous{}, nil, false)
+	p1, _, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,11 @@ func TestIncrementalFullFallbacks(t *testing.T) {
 		if tc.mutate != nil {
 			tc.mutate(&c)
 		}
-		inc, stats, err := TrainIncremental(next, tc.span, c, prev, dirty, tc.force)
+		delta := changecube.Delta{Changed: dirty}
+		if tc.force {
+			delta = changecube.Delta{Full: "forced"}
+		}
+		inc, stats, err := TrainIncremental(next, tc.span, c, prev, delta)
 		if err != nil {
 			t.Fatal(err)
 		}

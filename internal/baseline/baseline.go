@@ -6,7 +6,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -119,36 +118,8 @@ var (
 // set; e.g. a field changing in at least 45 of the 52 seven-day validation
 // windows is predicted for every 7-day test window.
 func TrainThreshold(hs *changecube.HistorySet, valSpan timeline.Span, sizes []int, fraction float64) (*Threshold, error) {
-	if fraction <= 0 || fraction > 1 {
-		return nil, fmt.Errorf("baseline: fraction %v out of (0,1]", fraction)
-	}
-	t := &Threshold{
-		fraction: fraction,
-		always:   make(map[int]map[changecube.FieldKey]bool, len(sizes)),
-	}
-	for _, size := range sizes {
-		windows := timeline.Tumbling(valSpan, size)
-		need := int(math.Ceil(fraction * float64(len(windows))))
-		if need < 1 {
-			need = 1
-		}
-		set := make(map[changecube.FieldKey]bool)
-		if len(windows) > 0 {
-			for _, h := range hs.Histories() {
-				changed := 0
-				for _, w := range windows {
-					if h.ChangedIn(w.Span) {
-						changed++
-					}
-				}
-				if changed >= need {
-					set[h.Field] = true
-				}
-			}
-		}
-		t.always[size] = set
-	}
-	return t, nil
+	t, _, err := TrainThresholdIncremental(hs, valSpan, sizes, fraction, ThresholdPrevious{}, changecube.Cold)
+	return t, err
 }
 
 // Name implements predict.Predictor.

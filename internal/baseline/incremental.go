@@ -4,9 +4,9 @@ package baseline
 // window size's always-predict set is strictly field-local — a function
 // of the field's own change days inside the validation span — so only
 // dirty fields can move in or out of a set. TrainThresholdIncremental
-// copies the previous sets and re-scores the dirty fields. A moved
-// validation span shifts every field's windows at once and falls back to
-// a full scan.
+// copies the previous sets and re-scores the fields
+// changecube.DirtyUnits marks. A moved validation span re-aligns every
+// tumbling window, so it rebuilds every field.
 
 import (
 	"fmt"
@@ -29,49 +29,37 @@ type ThresholdIncrementalStats struct {
 	// "forced", or "span".
 	Full       bool
 	FullReason string
-	// FieldsRecomputed counts dirty fields re-scored on the incremental
-	// path (per window size they are scored once each).
+	// FieldsRecomputed counts the fields re-scored (once each, for every
+	// window size), every field on a full rebuild.
 	FieldsRecomputed int
 }
 
-// TrainThresholdIncremental is TrainThreshold with per-field reuse. dirty
-// lists the fields whose change histories differ from the previous
-// training's, vanished fields included (core derives it with
-// changecube.HistorySet.ChangedSince); prev must come from the same sizes
-// and fraction, and a nil prev.Predictor is a cold build. The result is bit-identical to TrainThreshold over the
-// same inputs.
+// TrainThresholdIncremental is TrainThreshold with per-field reuse. delta
+// is what changed since prev, which must come from the same sizes and
+// fraction; changecube.Cold with a zero prev is a cold build. The result
+// is bit-identical to TrainThreshold over the same inputs.
 func TrainThresholdIncremental(hs *changecube.HistorySet, valSpan timeline.Span, sizes []int, fraction float64,
-	prev ThresholdPrevious, dirty map[changecube.FieldKey]bool, forceFull bool) (*Threshold, ThresholdIncrementalStats, error) {
+	prev ThresholdPrevious, delta changecube.Delta) (*Threshold, ThresholdIncrementalStats, error) {
 	if fraction <= 0 || fraction > 1 {
 		return nil, ThresholdIncrementalStats{}, fmt.Errorf("baseline: fraction %v out of (0,1]", fraction)
 	}
-	reason := ""
-	switch {
-	case forceFull:
-		reason = "forced"
-	case prev.Predictor == nil:
-		reason = "cold"
-	case valSpan != prev.ValSpan:
-		reason = "span"
+	if valSpan != prev.ValSpan {
+		delta = delta.Rebuild("span")
 	}
-	if reason != "" {
-		t, err := TrainThreshold(hs, valSpan, sizes, fraction)
-		if err != nil {
-			return nil, ThresholdIncrementalStats{}, err
-		}
-		return t, ThresholdIncrementalStats{Full: true, FullReason: reason}, nil
-	}
-
+	dirty := changecube.DirtyUnits(hs, delta, prev.ValSpan, valSpan, func(f changecube.FieldKey) changecube.FieldKey { return f })
+	recompute := hs.DirtyHistories(dirty)
 	t := &Threshold{
 		fraction: fraction,
 		always:   make(map[int]map[changecube.FieldKey]bool, len(sizes)),
 	}
-	stats := ThresholdIncrementalStats{}
 	for _, size := range sizes {
-		prevSet := prev.Predictor.always[size]
+		var prevSet map[changecube.FieldKey]bool
+		if dirty.Full == "" {
+			prevSet = prev.Predictor.always[size]
+		}
 		set := make(map[changecube.FieldKey]bool, len(prevSet))
 		for f := range prevSet {
-			if !dirty[f] {
+			if !dirty.Units[f] {
 				set[f] = true
 			}
 		}
@@ -81,11 +69,7 @@ func TrainThresholdIncremental(hs *changecube.HistorySet, valSpan timeline.Span,
 			need = 1
 		}
 		if len(windows) > 0 {
-			for f := range dirty {
-				h, ok := hs.Get(f)
-				if !ok {
-					continue // vanished field: already dropped above
-				}
+			for _, h := range recompute {
 				changed := 0
 				for _, w := range windows {
 					if h.ChangedIn(w.Span) {
@@ -93,12 +77,11 @@ func TrainThresholdIncremental(hs *changecube.HistorySet, valSpan timeline.Span,
 					}
 				}
 				if changed >= need {
-					set[f] = true
+					set[h.Field] = true
 				}
 			}
 		}
 		t.always[size] = set
 	}
-	stats.FieldsRecomputed = len(dirty)
-	return t, stats, nil
+	return t, ThresholdIncrementalStats{Full: dirty.Full != "", FullReason: dirty.Full, FieldsRecomputed: len(recompute)}, nil
 }

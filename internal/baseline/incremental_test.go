@@ -64,7 +64,7 @@ func TestThresholdIncrementalMatchesColdRetrain(t *testing.T) {
 	hs := randomThresholdSet(t, rng, 25, 200)
 	valSpan := timeline.NewSpan(20, 180)
 
-	prevP, stats, err := TrainThresholdIncremental(hs, valSpan, sizes, fraction, ThresholdPrevious{}, nil, false)
+	prevP, stats, err := TrainThresholdIncremental(hs, valSpan, sizes, fraction, ThresholdPrevious{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestThresholdIncrementalMatchesColdRetrain(t *testing.T) {
 	for step := 0; step < 12; step++ {
 		next, dirty := mutateSet(t, rng, hs, 200)
 		hs = next
-		inc, stats, err := TrainThresholdIncremental(hs, valSpan, sizes, fraction, prev, dirty, false)
+		inc, stats, err := TrainThresholdIncremental(hs, valSpan, sizes, fraction, prev, changecube.Delta{Changed: dirty})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestThresholdIncrementalSpanAndForceFallbacks(t *testing.T) {
 	const fraction = 0.4
 	hs := randomThresholdSet(t, rng, 15, 150)
 	valSpan := timeline.NewSpan(0, 120)
-	p1, _, err := TrainThresholdIncremental(hs, valSpan, sizes, fraction, ThresholdPrevious{}, nil, false)
+	p1, _, err := TrainThresholdIncremental(hs, valSpan, sizes, fraction, ThresholdPrevious{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,11 @@ func TestThresholdIncrementalSpanAndForceFallbacks(t *testing.T) {
 		{name: "span", span: timeline.NewSpan(30, 150), reason: "span"},
 		{name: "forced", span: valSpan, force: true, reason: "forced"},
 	} {
-		inc, stats, err := TrainThresholdIncremental(next, tc.span, sizes, fraction, prev, dirty, tc.force)
+		delta := changecube.Delta{Changed: dirty}
+		if tc.force {
+			delta = changecube.Delta{Full: "forced"}
+		}
+		inc, stats, err := TrainThresholdIncremental(next, tc.span, sizes, fraction, prev, delta)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -218,3 +218,78 @@ func TestHistorySameIn(t *testing.T) {
 		}
 	}
 }
+
+// TestDirtyUnits: the shared retrain rule marks a unit for each changed or
+// vanished field it owns and for each field whose in-window days moved with
+// the window, and nothing else. Units here are pages, one per entity.
+func TestDirtyUnits(t *testing.T) {
+	c := diffCube(4)
+	f := func(e, p int) FieldKey { return FieldKey{Entity: EntityID(e), Property: PropertyID(p)} }
+	hs := mustSet(t, c,
+		NewHistory(f(0, 0), []timeline.Day{3, 9, 40}),
+		NewHistory(f(1, 1), []timeline.Day{5, 6}),
+		NewHistory(f(2, 0), []timeline.Day{100}))
+	page := func(k FieldKey) PageID { return c.Page(k.Entity) }
+	win := timeline.NewSpan(0, 50)
+	changed := func(keys ...FieldKey) Delta {
+		d := Delta{Changed: make(map[FieldKey]bool)}
+		for _, k := range keys {
+			d.Changed[k] = true
+		}
+		return d
+	}
+
+	cases := []struct {
+		name    string
+		delta   Delta
+		prevWin timeline.Span
+		want    []FieldKey // fields whose pages must be dirty
+	}{
+		{"changed field", changed(f(1, 1)), win, []FieldKey{f(1, 1)}},
+		{"vanished field", changed(f(3, 2)), win, []FieldKey{f(3, 2)}},
+		{"moved window, untouched field", changed(), timeline.NewSpan(0, 101), []FieldKey{f(2, 0)}},
+		{"moved window and changed field", changed(f(1, 1)), timeline.NewSpan(4, 50), []FieldKey{f(0, 0), f(1, 1)}},
+		{"equal windows", changed(), timeline.NewSpan(1, 60), nil},
+		{"same window", changed(), win, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := DirtyUnits(hs, tc.delta, tc.prevWin, win, page)
+			want := make(map[PageID]bool)
+			for _, k := range tc.want {
+				want[page(k)] = true
+			}
+			if got.Full != "" || !reflect.DeepEqual(got.Units, want) {
+				t.Fatalf("DirtyUnits = %+v, want units %v", got, want)
+			}
+			for p := PageID(0); p < 4; p++ {
+				if got.Has(p) != want[p] {
+					t.Fatalf("Has(%d) = %v, want %v", p, got.Has(p), want[p])
+				}
+			}
+		})
+	}
+
+	t.Run("full delta", func(t *testing.T) {
+		for _, d := range []Delta{Cold, {Full: "forced"}, changed(f(0, 0)).Rebuild("span"), Cold.Rebuild("span")} {
+			got := DirtyUnits(hs, d, win, timeline.NewSpan(7, 9), page)
+			if got.Full == "" || got.Units != nil || !got.Has(page(f(1, 1))) {
+				t.Fatalf("DirtyUnits(%+v) = %+v, want every unit dirty", d, got)
+			}
+		}
+		if got := Cold.Rebuild("span").Full; got != "cold" {
+			t.Fatalf("Rebuild overrode the cold reason: %q", got)
+		}
+	})
+
+	t.Run("dirty histories", func(t *testing.T) {
+		self := func(k FieldKey) FieldKey { return k }
+		got := hs.DirtyHistories(DirtyUnits(hs, changed(f(2, 0), f(3, 2), f(0, 0)), win, win, self))
+		if len(got) != 2 || got[0].Field != f(0, 0) || got[1].Field != f(2, 0) {
+			t.Fatalf("DirtyHistories = %v, want f(0,0) and f(2,0) in field order", got)
+		}
+		if got := hs.DirtyHistories(DirtyUnits(hs, Cold, win, win, self)); len(got) != hs.Len() {
+			t.Fatalf("full DirtyHistories has %d histories, want all %d", len(got), hs.Len())
+		}
+	})
+}

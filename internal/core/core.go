@@ -209,11 +209,11 @@ type TrainHints struct {
 	// append-only). The retrain delta is derived from it: the fields whose
 	// filtered histories differ between Prev.Histories() and the new input
 	// (see changecube.HistorySet.ChangedSince). Every model stage reuses
-	// Prev's work for the pages, templates, fields, and families that delta
-	// leaves untouched — correlation per page, association rules per
-	// template, seasonal anchors and the threshold baseline per field,
-	// family correlations per family — and falls back to a full rebuild on
-	// its own when its locality assumption breaks (typically a moved span).
+	// Prev's work for the units changecube.DirtyUnits leaves clean —
+	// correlation per page, association rules per template, seasonal
+	// anchors and the threshold baseline per field, family correlations
+	// per family — and falls back to a full rebuild on its own only where
+	// its result stops being unit-local (see DESIGN.md §10).
 	// Prev.Histories() must still be what Prev was trained on, so a
 	// detector that has Ingested since is no valid Prev. Nil is a cold
 	// build.
@@ -239,28 +239,32 @@ func TrainFilteredHintedCtx(ctx context.Context, hs *changecube.HistorySet, stat
 	d.report.Filter = stats
 	start := time.Now()
 
+	// The retrain delta, derived once for every stage: cold and forced
+	// rebuilds are decided here, each stage's own fallbacks in the stage.
+	delta := changecube.Cold
 	var (
-		dirty      map[changecube.FieldKey]bool
 		prevCorr   correlation.Previous
 		prevAssoc  assocrules.Previous
 		prevSeason seasonal.Previous
 		prevFamily familycorr.Previous
 		prevThresh baseline.ThresholdPrevious
 	)
-	if p := hints.Prev; p != nil {
-		if !hints.ForceFull {
-			dirty = hs.ChangedSince(p.histories)
-		}
+	switch p := hints.Prev; {
+	case hints.ForceFull:
+		delta = changecube.Delta{Full: "forced"}
+	case p != nil:
+		delta = changecube.Delta{Changed: hs.ChangedSince(p.histories)}
 		prevCorr = correlation.Previous{Predictor: p.fieldCorr, Span: p.splits.TrainVal}
 		prevAssoc = assocrules.Previous{Predictor: p.assocRules, Span: p.splits.TrainVal}
 		prevSeason = seasonal.Previous{Predictor: p.seasonalP, Span: p.splits.TrainVal}
 		prevFamily = familycorr.Previous{Predictor: p.familyCorr, Span: p.splits.TrainVal, Entities: p.histories.Cube().NumEntities()}
 		prevThresh = baseline.ThresholdPrevious{Predictor: p.threshBase, ValSpan: p.splits.Validation}
 	}
+	obs.Default.Gauge(obs.IncrementalDirtyFields, nil).Set(float64(len(delta.Changed)))
 
 	_, span := obs.StartSpanCtx(ctx, "train/correlation")
 	d.fieldCorr, d.corrInc, err = correlation.TrainIncremental(
-		hs, splits.TrainVal, cfg.Correlation, prevCorr, dirty, hints.ForceFull)
+		hs, splits.TrainVal, cfg.Correlation, prevCorr, delta)
 	if err != nil {
 		return nil, fmt.Errorf("core: field correlations: %w", err)
 	}
@@ -268,7 +272,7 @@ func TrainFilteredHintedCtx(ctx context.Context, hs *changecube.HistorySet, stat
 
 	_, span = obs.StartSpanCtx(ctx, "train/assocrules")
 	d.assocRules, d.assocInc, err = assocrules.TrainIncremental(
-		hs, splits.TrainVal, cfg.AssocRules, prevAssoc, dirty, hints.ForceFull)
+		hs, splits.TrainVal, cfg.AssocRules, prevAssoc, delta)
 	if err != nil {
 		return nil, fmt.Errorf("core: association rules: %w", err)
 	}
@@ -276,7 +280,7 @@ func TrainFilteredHintedCtx(ctx context.Context, hs *changecube.HistorySet, stat
 
 	_, span = obs.StartSpanCtx(ctx, "train/seasonal")
 	d.seasonalP, d.seasonInc, err = seasonal.TrainIncremental(
-		hs, splits.TrainVal, cfg.Seasonal, prevSeason, dirty, hints.ForceFull)
+		hs, splits.TrainVal, cfg.Seasonal, prevSeason, delta)
 	if err != nil {
 		return nil, fmt.Errorf("core: seasonal: %w", err)
 	}
@@ -284,7 +288,7 @@ func TrainFilteredHintedCtx(ctx context.Context, hs *changecube.HistorySet, stat
 
 	_, span = obs.StartSpanCtx(ctx, "train/familycorr")
 	d.familyCorr, d.familyInc, err = familycorr.TrainIncremental(
-		hs, splits.TrainVal, cfg.FamilyCorr, prevFamily, dirty, hints.ForceFull)
+		hs, splits.TrainVal, cfg.FamilyCorr, prevFamily, delta)
 	if err != nil {
 		return nil, fmt.Errorf("core: family correlations: %w", err)
 	}
@@ -292,7 +296,7 @@ func TrainFilteredHintedCtx(ctx context.Context, hs *changecube.HistorySet, stat
 
 	_, span = obs.StartSpanCtx(ctx, "train/threshold")
 	d.threshBase, d.threshInc, err = baseline.TrainThresholdIncremental(
-		hs, splits.Validation, timeline.StandardSizes, cfg.ThresholdFraction, prevThresh, dirty, hints.ForceFull)
+		hs, splits.Validation, timeline.StandardSizes, cfg.ThresholdFraction, prevThresh, delta)
 	if err != nil {
 		return nil, fmt.Errorf("core: threshold baseline: %w", err)
 	}

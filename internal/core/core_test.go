@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/eval"
+	"github.com/wikistale/wikistale/internal/obs"
 	"github.com/wikistale/wikistale/internal/predict"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
@@ -309,5 +311,45 @@ func TestExtendedEnsemble(t *testing.T) {
 	}
 	if daily.BySize["seasonal"][1].Predictions() != 0 {
 		t.Error("seasonal predictor fired on daily windows")
+	}
+}
+
+// TestDirtyFieldsGauge: core sets wikistale_train_incremental_dirty_fields
+// once per training to the size of the delta it derived, and to 0 on a
+// cold or forced build.
+func TestDirtyFieldsGauge(t *testing.T) {
+	det, _ := detector(t)
+	gauge := func() float64 { return obs.Default.Gauge(obs.IncrementalDirtyFields, nil).Value() }
+	hs := det.Histories()
+	// One extra change day, inside the span, on three fields.
+	updates := make(map[changecube.FieldKey][]timeline.Day)
+	for _, h := range hs.Histories()[:3] {
+		first, _ := h.First()
+		updates[h.Field] = []timeline.Day{first + 1}
+	}
+	next, err := hs.MergeDays(updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(next.ChangedSince(hs))
+	if want == 0 {
+		t.Fatal("fixture changed no field")
+	}
+	for _, tc := range []struct {
+		name  string
+		hints TrainHints
+		want  int
+	}{
+		{"cold", TrainHints{}, 0},
+		{"incremental", TrainHints{Prev: det}, want},
+		{"forced", TrainHints{Prev: det, ForceFull: true}, 0},
+	} {
+		obs.Default.Gauge(obs.IncrementalDirtyFields, nil).Set(-1)
+		if _, err := TrainFilteredHintedCtx(context.Background(), next, det.FilterStats(), DefaultConfig(), tc.hints); err != nil {
+			t.Fatal(err)
+		}
+		if g := gauge(); g != float64(tc.want) {
+			t.Fatalf("%s: dirty_fields gauge = %v, want %d", tc.name, g, tc.want)
+		}
 	}
 }

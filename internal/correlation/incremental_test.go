@@ -164,7 +164,7 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 		cfg := Config{Theta: 0.3, Norm: norm, MinSpanChanges: 2}
 		hs := randomHistorySet(t, rng, 8, 6, 50)
 		span := timeline.NewSpan(0, 40)
-		prevP, stats, err := TrainIncremental(hs, span, cfg, Previous{}, nil, false)
+		prevP, stats, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 			if step%3 == 2 {
 				span = timeline.NewSpan(span.Start, span.End+5) // live span advance
 			}
-			inc, stats, err := TrainIncremental(hs, span, cfg, prev, dirty, false)
+			inc, stats, err := TrainIncremental(hs, span, cfg, prev, changecube.Delta{Changed: dirty})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,12 +216,12 @@ func TestIncrementalForcedFullRebuild(t *testing.T) {
 	cfg := Config{Theta: 0.4, Norm: NormOverlap, MinSpanChanges: 1}
 	hs := randomHistorySet(t, rng, 6, 5, 40)
 	span := timeline.NewSpan(0, 40)
-	p1, _, err := TrainIncremental(hs, span, cfg, Previous{}, nil, false)
+	p1, _, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, dirty := mutateHistories(t, rng, hs, 40)
-	forced, stats, err := TrainIncremental(next, span, cfg, Previous{Predictor: p1, Span: span}, dirty, true)
+	next, _ := mutateHistories(t, rng, hs, 40)
+	forced, stats, err := TrainIncremental(next, span, cfg, Previous{Predictor: p1, Span: span}, changecube.Delta{Full: "forced"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +237,8 @@ func TestIncrementalForcedFullRebuild(t *testing.T) {
 	}
 }
 
-// TestIncrementalMetrics: the wikistale_train_incremental_* family must
-// reflect what the trainer did.
+// TestIncrementalMetrics: the wikistale_train_incremental_* counters must
+// reflect what the trainer did (core sets the dirty-fields gauge).
 func TestIncrementalMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	cfg := Config{Theta: 0.3, Norm: NormOverlap, MinSpanChanges: 1}
@@ -246,7 +246,7 @@ func TestIncrementalMetrics(t *testing.T) {
 	span := timeline.NewSpan(0, 30)
 
 	coldBefore := counterValue(obs.IncrementalFullTotal, obs.Labels{"reason": "cold"})
-	p1, _, err := TrainIncremental(hs, span, cfg, Previous{}, nil, false)
+	p1, _, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestIncrementalMetrics(t *testing.T) {
 	next, dirty := mutateHistories(t, rng, hs, 30)
 	incBefore := counterValue(obs.IncrementalRetrainsTotal, nil)
 	reusedBefore := counterValue(obs.IncrementalPagesReusedTotal, nil)
-	_, stats, err := TrainIncremental(next, span, cfg, Previous{Predictor: p1, Span: span}, dirty, false)
+	_, stats, err := TrainIncremental(next, span, cfg, Previous{Predictor: p1, Span: span}, changecube.Delta{Changed: dirty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +269,5 @@ func TestIncrementalMetrics(t *testing.T) {
 	}
 	if stats.PagesReused == 0 {
 		t.Fatalf("10-page set with ≤3 dirty fields reused nothing: %+v", stats)
-	}
-	if g := obs.Default.Gauge(obs.IncrementalDirtyFields, nil).Value(); g != float64(len(dirty)) {
-		t.Fatalf("dirty_fields gauge = %v, want %d", g, len(dirty))
 	}
 }

@@ -91,75 +91,11 @@ type Predictor struct {
 var _ predict.Predictor = (*Predictor)(nil)
 
 // Train pools histories per (family, property) over span and discovers
-// correlated property pairs within each family.
+// correlated property pairs within each family: the cold build of
+// TrainIncremental.
 func Train(hs *changecube.HistorySet, span timeline.Span, cfg Config) (*Predictor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Correlation.Theta <= 0 || cfg.Correlation.Theta > 1 {
-		return nil, fmt.Errorf("familycorr: Theta %v out of (0,1]", cfg.Correlation.Theta)
-	}
-	cube := hs.Cube()
-
-	p := &Predictor{
-		partners:   make(map[familyProperty][]changecube.PropertyID),
-		members:    make(map[string][]changecube.EntityID),
-		allMembers: make(map[string][]changecube.EntityID),
-		familyOf:   make([]string, cube.Pages.Len()),
-	}
-
-	// Group member entities per family; members keeps only the families
-	// with enough pages to pool, allMembers keeps everything so a later
-	// incremental training can watch families cross the threshold.
-	for e := 0; e < cube.NumEntities(); e++ {
-		id := changecube.EntityID(e)
-		page := cube.Page(id)
-		fam := p.familyOf[page]
-		if fam == "" {
-			fam = pagefamily.Normalize(cube.Pages.Name(int32(page)))
-			p.familyOf[page] = fam
-		}
-		p.allMembers[fam] = append(p.allMembers[fam], id)
-	}
-	for fam, members := range p.allMembers {
-		if len(members) >= cfg.MinMembers {
-			p.members[fam] = members
-		}
-	}
-
-	// Pool change days per (family, property).
-	pooled := make(map[familyProperty][]timeline.Day)
-	for _, h := range hs.Histories() {
-		fam := p.familyOf[cube.Page(h.Field.Entity)]
-		if _, ok := p.members[fam]; !ok {
-			continue
-		}
-		key := familyProperty{family: fam, property: h.Field.Property}
-		pooled[key] = append(pooled[key], h.In(span)...)
-	}
-	byFamily := make(map[string][]familyProperty)
-	for key, days := range pooled {
-		sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
-		days = dedupDays(days)
-		if len(days) < cfg.MinPooledChanges {
-			delete(pooled, key)
-			continue
-		}
-		pooled[key] = days
-		byFamily[key.family] = append(byFamily[key.family], key)
-	}
-
-	// Pairwise search within each family, on the pooled histories.
-	var families []string
-	for fam := range byFamily {
-		families = append(families, fam)
-	}
-	sort.Strings(families)
-	for _, fam := range families {
-		p.rules = append(p.rules, searchFamily(fam, byFamily[fam], pooled, span, cfg)...)
-	}
-	p.indexPartners()
-	return p, nil
+	p, _, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
+	return p, err
 }
 
 // searchFamily runs the pairwise correlation search over one family's

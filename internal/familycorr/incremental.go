@@ -2,20 +2,21 @@ package familycorr
 
 // Incremental retraining: family rules are strictly family-local — a
 // family's rules are a function of its own members' in-span change days
-// and the config, nothing else — so a family none of whose members saw a
-// new change (and which gained no member pages) reproduces its previous
-// rules bit for bit. TrainIncremental extends the family index with the
-// entities created since the previous training, re-pools and re-searches
-// only the dirty families, and grafts the clean families' previous rules
-// back in. A moved span shifts every family's pooled window at once, so
-// it falls back to a full rebuild (the live span rolls at most once per
-// data day; every retrain in between reuses).
+// and the config, nothing else (the overlap distance does not read the
+// span length) — so a family whose members' in-span days are unchanged
+// and which gained no member pages reproduces its previous rules bit for
+// bit, whether or not the span moved. TrainIncremental extends the family
+// index with the entities created since the previous training, re-pools
+// and re-searches only the families those entities joined or
+// changecube.DirtyUnits marks, and grafts the other families' previous
+// rules back in.
 
 import (
 	"fmt"
 	"sort"
 
 	"github.com/wikistale/wikistale/internal/changecube"
+	"github.com/wikistale/wikistale/internal/correlation"
 	"github.com/wikistale/wikistale/internal/pagefamily"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
@@ -32,9 +33,10 @@ type Previous struct {
 
 // IncrementalStats reports what TrainIncremental actually did.
 type IncrementalStats struct {
-	// Full is true when every family was re-searched; FullReason is "cold",
-	// "forced", "span", or "entities_shrunk" (the cube lost entities, which
-	// the append-only ID assumption cannot survive).
+	// Full is true when every family was re-searched; FullReason is
+	// "cold", "forced", "norm_span" (span moved under a length-normalized
+	// distance, which rescales every pair), or "entities_shrunk" (the cube
+	// lost entities, which the append-only ID assumption cannot survive).
 	Full       bool
 	FullReason string
 	// FamiliesTotal counts the kept (>= MinMembers) families;
@@ -42,66 +44,45 @@ type IncrementalStats struct {
 	FamiliesTotal     int
 	FamiliesReused    int
 	FamiliesRetrained int
-	// NewEntities counts entities created since the previous training.
+	// NewEntities counts the entities added to the family index: those
+	// created since the previous training, every entity on a full rebuild.
 	NewEntities int
 }
 
-// TrainIncremental is Train with per-family rule reuse. dirty lists the
-// fields whose change histories differ from the previous training's,
-// vanished fields included (core derives it with
-// changecube.HistorySet.ChangedSince); prev must come from the same
-// configuration, and a nil prev.Predictor is a cold build. The result is bit-identical to Train over
-// the same inputs.
+// TrainIncremental is Train with per-family rule reuse. delta is what
+// changed since prev, which must come from the same configuration;
+// changecube.Cold with a zero prev is a cold build. The result is
+// bit-identical to Train over the same inputs.
 func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
-	prev Previous, dirty map[changecube.FieldKey]bool, forceFull bool) (*Predictor, IncrementalStats, error) {
-	cube := hs.Cube()
-	reason := ""
-	switch {
-	case forceFull:
-		reason = "forced"
-	case prev.Predictor == nil || prev.Predictor.allMembers == nil:
-		// FromRules-built predictors carry no member index to extend.
-		reason = "cold"
-	case span != prev.Span:
-		reason = "span"
-	case cube.NumEntities() < prev.Entities:
-		reason = "entities_shrunk"
-	}
-	if reason != "" {
-		p, err := Train(hs, span, cfg)
-		if err != nil {
-			return nil, IncrementalStats{}, err
-		}
-		return p, IncrementalStats{
-			Full: true, FullReason: reason,
-			FamiliesTotal:     p.Families(),
-			FamiliesRetrained: p.Families(),
-			NewEntities:       cube.NumEntities() - prev.Entities,
-		}, nil
-	}
+	prev Previous, delta changecube.Delta) (*Predictor, IncrementalStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, IncrementalStats{}, err
 	}
 	if cfg.Correlation.Theta <= 0 || cfg.Correlation.Theta > 1 {
 		return nil, IncrementalStats{}, fmt.Errorf("familycorr: Theta %v out of (0,1]", cfg.Correlation.Theta)
 	}
-
-	stats := IncrementalStats{NewEntities: cube.NumEntities() - prev.Entities}
+	cube := hs.Cube()
+	switch {
+	case prev.Predictor != nil && prev.Predictor.allMembers == nil:
+		// FromRules-built predictors carry no member index to extend.
+		delta = delta.Rebuild("cold")
+	case cfg.Correlation.Norm != correlation.NormOverlap && span != prev.Span:
+		delta = delta.Rebuild("norm_span")
+	case cube.NumEntities() < prev.Entities:
+		delta = delta.Rebuild("entities_shrunk")
+	}
+	// A full rebuild extends an empty index: every entity is new, so every
+	// family is retrained.
+	old, from := &Predictor{}, 0
+	if delta.Full == "" {
+		old, from = prev.Predictor, prev.Entities
+	}
 
 	// Extend the page→family cache with pages created since the previous
 	// training. Filled entries never change (page titles are immutable in
 	// the cube), so the old prefix is copied as-is.
 	famOf := make([]string, cube.Pages.Len())
-	copy(famOf, prev.Predictor.familyOf)
-
-	// Extend the member index. New entities' appends clone the previous
-	// slice (full-capacity slice expression) so the previous predictor —
-	// still serving — is never mutated.
-	allMembers := make(map[string][]changecube.EntityID, len(prev.Predictor.allMembers))
-	for fam, m := range prev.Predictor.allMembers {
-		allMembers[fam] = m
-	}
-	dirtyFams := make(map[string]bool)
+	copy(famOf, old.familyOf)
 	familyAt := func(e changecube.EntityID) string {
 		page := cube.Page(e)
 		fam := famOf[page]
@@ -111,61 +92,72 @@ func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
 		}
 		return fam
 	}
-	for e := prev.Entities; e < cube.NumEntities(); e++ {
+
+	// Extend the member index. The previous slices are capped at their
+	// length, so a new entity's append copies before it writes and the
+	// previous predictor — still serving — is never mutated. A family that
+	// gains a member is retrained, as is every family DirtyUnits marks.
+	allMembers := make(map[string][]changecube.EntityID, len(old.allMembers))
+	for fam, m := range old.allMembers {
+		allMembers[fam] = m[:len(m):len(m)]
+	}
+	touched := make(map[string]bool)
+	for e := from; e < cube.NumEntities(); e++ {
 		id := changecube.EntityID(e)
 		fam := familyAt(id)
-		m := allMembers[fam]
-		allMembers[fam] = append(m[:len(m):len(m)], id)
-		dirtyFams[fam] = true
+		allMembers[fam] = append(allMembers[fam], id)
+		touched[fam] = true
 	}
-	for f := range dirty {
-		dirtyFams[familyAt(f.Entity)] = true
+	dirty := changecube.DirtyUnits(hs, delta, prev.Span, span, func(f changecube.FieldKey) string {
+		return familyAt(f.Entity)
+	})
+	for fam := range dirty.Units {
+		touched[fam] = true
 	}
 
 	p := &Predictor{
-		partners:   make(map[familyProperty][]changecube.PropertyID, len(prev.Predictor.partners)),
-		members:    make(map[string][]changecube.EntityID, len(prev.Predictor.members)),
+		partners:   make(map[familyProperty][]changecube.PropertyID, len(old.partners)),
+		members:    make(map[string][]changecube.EntityID, len(old.members)),
 		allMembers: allMembers,
 		familyOf:   famOf,
 	}
 	// Kept families: the previous keeps minus nothing (families never
-	// shrink), plus dirty families that crossed MinMembers.
-	for fam := range prev.Predictor.members {
+	// shrink), plus touched families that crossed MinMembers.
+	for fam := range old.members {
 		p.members[fam] = allMembers[fam]
 	}
-	for fam := range dirtyFams {
+	var retrain []string
+	for fam := range touched {
 		if len(allMembers[fam]) >= cfg.MinMembers {
 			p.members[fam] = allMembers[fam]
-		}
-	}
-
-	stats.FamiliesTotal = len(p.members)
-
-	// Re-pool and re-search the dirty kept families only. Histories are
-	// sorted by (entity, property), so each member's histories form one
-	// contiguous run found by binary search, and walking members in
-	// ascending-ID order reproduces the full Train's pooling order.
-	histories := hs.Histories()
-	var retrain []string
-	for fam := range dirtyFams {
-		if _, ok := p.members[fam]; ok {
 			retrain = append(retrain, fam)
 		}
 	}
 	sort.Strings(retrain)
-	stats.FamiliesRetrained = len(retrain)
-	stats.FamiliesReused = stats.FamiliesTotal - stats.FamiliesRetrained
+	stats := IncrementalStats{
+		Full:              delta.Full != "",
+		FullReason:        delta.Full,
+		FamiliesTotal:     len(p.members),
+		FamiliesRetrained: len(retrain),
+		FamiliesReused:    len(p.members) - len(retrain),
+		NewEntities:       cube.NumEntities() - from,
+	}
 
 	retrainSet := make(map[string]bool, len(retrain))
 	for _, fam := range retrain {
 		retrainSet[fam] = true
 	}
 	var rules []Rule
-	for _, r := range prev.Predictor.rules {
+	for _, r := range old.rules {
 		if !retrainSet[r.Family] {
 			rules = append(rules, r)
 		}
 	}
+	// Re-pool and re-search the retrained families. Histories are sorted by
+	// (entity, property), so each member's histories form one contiguous
+	// run found by binary search, and walking members in ascending-ID order
+	// pools every property's days in field order.
+	histories := hs.Histories()
 	for _, fam := range retrain {
 		pooled := make(map[familyProperty][]timeline.Day)
 		for _, e := range p.members[fam] {

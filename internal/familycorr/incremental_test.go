@@ -119,7 +119,7 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 	hs := familyCorpus(t, rng, 6, 3, 120)
 	span := timeline.NewSpan(0, 120)
 
-	prevP, stats, err := TrainIncremental(hs, span, cfg, Previous{}, nil, false)
+	prevP, stats, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 			next = addSeasonPage(t, rng, next, 2010+step, 120, dirty)
 		}
 		hs = next
-		inc, stats, err := TrainIncremental(hs, span, cfg, prev, dirty, false)
+		inc, stats, err := TrainIncremental(hs, span, cfg, prev, changecube.Delta{Changed: dirty})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,48 +164,86 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 	}
 }
 
-// TestIncrementalFullFallbacks: a moved span, a FromRules predictor (no
-// member index), or the escape hatch must rebuild everything — and still
-// match a cold Train.
+// TestIncrementalFullFallbacks: a moved span reuses every family whose
+// members' in-span days stayed the same and re-searches the rest, untouched
+// fields included; a moved span under NormLength, a FromRules predictor (no
+// member index), or the escape hatch rebuild everything. All must match a
+// cold Train.
 func TestIncrementalFullFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	cfg := lenientConfig()
 	hs := familyCorpus(t, rng, 5, 3, 120)
 	span := timeline.NewSpan(0, 120)
-	p1, _, err := TrainIncremental(hs, span, cfg, Previous{}, nil, false)
+	next, dirty := mutateSet(t, rng, hs, 120)
+	// Give every field of one untouched member two co-changes past the
+	// span's end, in both snapshots: they enter its family's pooled window
+	// only when the span grows.
+	late := make(map[changecube.FieldKey][]timeline.Day)
+	for _, h := range hs.Histories() {
+		if h.Field.Entity == hs.Histories()[0].Field.Entity {
+			late[h.Field] = []timeline.Day{130, 140}
+		}
+	}
+	for f := range late {
+		if dirty[f] {
+			t.Fatalf("fixture: late field %v is also in the delta", f)
+		}
+	}
+	var err error
+	if hs, err = hs.MergeDays(late); err != nil {
+		t.Fatal(err)
+	}
+	if next, err = next.MergeDays(late); err != nil {
+		t.Fatal(err)
+	}
+	p1, _, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, dirty := mutateSet(t, rng, hs, 120)
 	entities := hs.Cube().NumEntities()
+	lengthCfg := cfg
+	lengthCfg.Correlation.Norm = correlation.NormLength
 
 	for _, tc := range []struct {
 		name   string
 		span   timeline.Span
+		cfg    Config
 		prev   Previous
 		force  bool
 		reason string
 	}{
-		{name: "span", span: timeline.NewSpan(0, 150),
-			prev: Previous{Predictor: p1, Span: span, Entities: entities}, reason: "span"},
-		{name: "forced", span: span,
+		{name: "span end", span: timeline.NewSpan(0, 150), cfg: cfg,
+			prev: Previous{Predictor: p1, Span: span, Entities: entities}},
+		{name: "span start", span: timeline.NewSpan(30, 120), cfg: cfg,
+			prev: Previous{Predictor: p1, Span: span, Entities: entities}},
+		{name: "norm_span", span: timeline.NewSpan(0, 150), cfg: lengthCfg,
+			prev: Previous{Predictor: p1, Span: span, Entities: entities}, reason: "norm_span"},
+		{name: "forced", span: span, cfg: cfg,
 			prev: Previous{Predictor: p1, Span: span, Entities: entities}, force: true, reason: "forced"},
-		{name: "from_rules", span: span,
+		{name: "from_rules", span: span, cfg: cfg,
 			prev: Previous{Predictor: FromRules(p1.Rules()), Span: span, Entities: entities}, reason: "cold"},
 	} {
-		inc, stats, err := TrainIncremental(next, tc.span, cfg, tc.prev, dirty, tc.force)
+		delta := changecube.Delta{Changed: dirty}
+		if tc.force {
+			delta = changecube.Delta{Full: "forced"}
+		}
+		inc, stats, err := TrainIncremental(next, tc.span, tc.cfg, tc.prev, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !stats.Full || stats.FullReason != tc.reason {
-			t.Fatalf("%s: stats = %+v, want full rebuild with reason %q", tc.name, stats, tc.reason)
+		if stats.Full != (tc.reason != "") || stats.FullReason != tc.reason {
+			t.Fatalf("%s: stats = %+v, want full rebuild reason %q", tc.name, stats, tc.reason)
 		}
-		cold, err := Train(next, tc.span, cfg)
+		cold, err := Train(next, tc.span, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(inc, cold) {
-			t.Fatalf("%s: full-fallback predictor diverged from cold train", tc.name)
+			t.Fatalf("%s: predictor diverged from cold train (stats %+v)\ninc rules:  %v\ncold rules: %v",
+				tc.name, stats, inc.Rules(), cold.Rules())
+		}
+		if tc.name == "span end" && stats.FamiliesReused == 0 {
+			t.Fatalf("%s: a grown span with a small delta reused no family: %+v", tc.name, stats)
 		}
 	}
 }

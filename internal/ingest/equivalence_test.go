@@ -152,10 +152,10 @@ func interruptedRun(t *testing.T, cube *changecube.Cube, cfg Config) (*core.Dete
 
 // TestIncrementalRetrainEquivalence drives two managers over the identical
 // batch sequence with retrains forced at the same points — one cold, one
-// incremental — and asserts bit-identical correlation rules and DetectStale
-// output after every successful retrain. Early retrains fail on both sides
-// ("span too short") until enough history streamed in; later ones must
-// reuse pages.
+// incremental — and asserts bit-identical models of all five stages and
+// DetectStale output after every successful retrain. Early retrains fail
+// on both sides ("span too short") until enough history streamed in;
+// later ones must reuse pages.
 func TestIncrementalRetrainEquivalence(t *testing.T) {
 	cube, _, err := dataset.Generate(dataset.Small())
 	if err != nil {
@@ -199,6 +199,10 @@ func TestIncrementalRetrainEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(cold.FamilyCorrelations().Rules(), inc.FamilyCorrelations().Rules()) {
 			t.Fatalf("step %d: family rules diverged (incremental stats %+v)",
 				step, inc.FamilyRetrain())
+		}
+		if !reflect.DeepEqual(cold.Predictors()[1], inc.Predictors()[1]) {
+			t.Fatalf("step %d: threshold baselines diverged (incremental stats %+v)",
+				step, inc.ThresholdRetrain())
 		}
 		end := cold.Histories().Span().End
 		for _, window := range []int{7, 30} {

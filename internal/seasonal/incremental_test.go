@@ -75,7 +75,7 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 	hs := randomSeasonalSet(t, rng, 30, 5)
 	span := timeline.NewSpan(0, 5*365)
 
-	prevP, stats, err := TrainIncremental(hs, span, cfg, Previous{}, nil, false)
+	prevP, stats, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 	for step := 0; step < 12; step++ {
 		next, dirty := mutateSet(t, rng, hs, 5*365)
 		hs = next
-		inc, stats, err := TrainIncremental(hs, span, cfg, prev, dirty, false)
+		inc, stats, err := TrainIncremental(hs, span, cfg, prev, changecube.Delta{Changed: dirty})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,14 +112,16 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 	}
 }
 
-// TestIncrementalSpanAndForceFallbacks: a moved span or the escape hatch
-// must rebuild everything and still match a cold Train.
+// TestIncrementalSpanAndForceFallbacks: a moved span reuses every field
+// whose in-span days stayed the same and re-extracts the rest, untouched
+// fields included; the escape hatch rebuilds everything. Both must match
+// a cold Train.
 func TestIncrementalSpanAndForceFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))
 	cfg := Default()
 	hs := randomSeasonalSet(t, rng, 20, 4)
 	span := timeline.NewSpan(0, 4*365)
-	p1, _, err := TrainIncremental(hs, span, cfg, Previous{}, nil, false)
+	p1, _, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,22 +134,45 @@ func TestIncrementalSpanAndForceFallbacks(t *testing.T) {
 		force  bool
 		reason string
 	}{
-		{name: "span", span: timeline.NewSpan(0, 4*365+30), reason: "span"},
+		{name: "span end", span: timeline.NewSpan(0, 4*365+30)},
+		// Dropping the first 200 days takes a year off every field whose
+		// first-year change falls there, touched or not.
+		{name: "span start", span: timeline.NewSpan(200, 4*365)},
 		{name: "forced", span: span, force: true, reason: "forced"},
 	} {
-		inc, stats, err := TrainIncremental(next, tc.span, cfg, prev, dirty, tc.force)
+		delta := changecube.Delta{Changed: dirty}
+		if tc.force {
+			delta = changecube.Delta{Full: "forced"}
+		}
+		inc, stats, err := TrainIncremental(next, tc.span, cfg, prev, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !stats.Full || stats.FullReason != tc.reason {
-			t.Fatalf("%s: stats = %+v, want full rebuild with reason %q", tc.name, stats, tc.reason)
+		if stats.Full != tc.force || stats.FullReason != tc.reason {
+			t.Fatalf("%s: stats = %+v, want full rebuild %v with reason %q", tc.name, stats, tc.force, tc.reason)
 		}
 		cold, err := Train(next, tc.span, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(inc, cold) {
-			t.Fatalf("%s: full-fallback predictor diverged from cold train", tc.name)
+			t.Fatalf("%s: predictor diverged from cold train (stats %+v)", tc.name, stats)
+		}
+		if tc.force {
+			continue
+		}
+		moved := 0
+		for _, h := range next.Histories() {
+			if !dirty[h.Field] && !h.SameIn(span, tc.span) {
+				moved++
+			}
+		}
+		if want := len(dirty) + moved; stats.FieldsRecomputed != want || want == next.Len() {
+			t.Fatalf("%s: recomputed %d of %d fields, want %d (%d changed, %d moved in-span days)",
+				tc.name, stats.FieldsRecomputed, next.Len(), want, len(dirty), moved)
+		}
+		if tc.span.Start != span.Start && moved == 0 {
+			t.Fatalf("%s: no untouched field's in-span days moved; the row is vacuous", tc.name)
 		}
 	}
 }

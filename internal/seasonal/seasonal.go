@@ -99,28 +99,11 @@ type Predictor struct {
 
 var _ predict.Predictor = (*Predictor)(nil)
 
-// Train learns yearly anchors from the change days inside span.
+// Train learns yearly anchors from the change days inside span: the cold
+// build of TrainIncremental.
 func Train(hs *changecube.HistorySet, span timeline.Span, cfg Config) (*Predictor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	p := &Predictor{
-		anchors:     make(map[changecube.FieldKey][]Anchor),
-		tol:         cfg.ToleranceDays,
-		minWindow:   cfg.MinWindowDays,
-		maxDormancy: timeline.Day(cfg.MaxDormancyDays),
-	}
-	for _, h := range hs.Histories() {
-		days := h.In(span)
-		if len(days) < cfg.MinYears {
-			continue
-		}
-		anchors := extractAnchors(days, cfg)
-		if len(anchors) > 0 {
-			p.anchors[h.Field] = anchors
-		}
-	}
-	return p, nil
+	p, _, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
+	return p, err
 }
 
 // extractAnchors clusters the field's change days by day-of-year and keeps

@@ -11,6 +11,9 @@
 #      double-applying events: once its feed settles, the staged change
 #      count equals an uninterrupted run's.
 #
+# Run 1 must also have retrained incrementally at least once before its
+# feed settled.
+#
 # CI runs this as the "cold-start smoke" step; locally: `make coldsmoke`.
 #
 # Environment knobs:
@@ -65,6 +68,11 @@ until [ "$(mon /v1/ingest/stats | jq -r '.source_done and .pending_changes == 0'
 done
 FULL_CHANGES=$(mon /v1/ingest/stats | jq -r '.staging.changes')
 [ -n "$FULL_CHANGES" ] && [ "$FULL_CHANGES" -gt 0 ] || { echo "FAIL: no staged-change count from run 1"; exit 1; }
+# The live retrains must reuse work, not only the Go tests: at least one
+# of run 1's retrains ran incrementally.
+INC_RETRAINS=$(mon /v1/ingest/stats | jq -r '.retrains_incremental // 0')
+[ "$INC_RETRAINS" -ge 1 ] || {
+  echo "FAIL: run 1 never retrained incrementally (retrains_incremental=$INC_RETRAINS)"; cat server1.log; exit 1; }
 
 kill "$SRV"
 wait "$SRV" 2>/dev/null || true
@@ -123,4 +131,4 @@ RESUMED_CHANGES=$(mon /v1/ingest/stats | jq -r '.staging.changes')
   exit 1
 }
 
-echo "cold-start smoke OK: ready in ${ready_ms}ms, epoch load ${LOAD_S}s, ${RESUMED_CHANGES} changes after resume (= full run)"
+echo "cold-start smoke OK: ${INC_RETRAINS} incremental retrains in run 1, ready in ${ready_ms}ms, epoch load ${LOAD_S}s, ${RESUMED_CHANGES} changes after resume (= full run)"
