@@ -504,6 +504,13 @@ func (p *Predictor) Rules() []Rule { return p.rules }
 // NumRules returns the number of validated rules.
 func (p *Predictor) NumRules() int { return len(p.rules) }
 
+// Antecedents returns the antecedent properties of template's rules
+// X → consequent, in ascending antecedent order. The slice is shared and
+// must be treated as read-only.
+func (p *Predictor) Antecedents(template changecube.TemplateID, consequent changecube.PropertyID) []changecube.PropertyID {
+	return p.antecedents[templateProperty{template: template, property: consequent}]
+}
+
 // RulesPerTemplate counts the validated rules per template — the
 // distribution shown in the paper's Figure 3.
 func (p *Predictor) RulesPerTemplate() map[changecube.TemplateID]int {
@@ -536,9 +543,7 @@ func (p *Predictor) CoveredPages(cube *changecube.Cube) int {
 // antecedent X changed on the same entity within the window.
 func (p *Predictor) Predict(ctx predict.Context) bool {
 	target := ctx.Target()
-	template := ctx.Cube().Template(target.Entity)
-	key := templateProperty{template: template, property: target.Property}
-	for _, ante := range p.antecedents[key] {
+	for _, ante := range p.Antecedents(ctx.Cube().Template(target.Entity), target.Property) {
 		f := changecube.FieldKey{Entity: target.Entity, Property: ante}
 		if ctx.FieldChangedIn(f, ctx.Window().Span) {
 			return true
@@ -555,9 +560,7 @@ func (p *Predictor) PredictWindows(b predict.Batch, out []bool) {
 		out[i] = false
 	}
 	target := b.Target()
-	template := b.Cube().Template(target.Entity)
-	key := templateProperty{template: template, property: target.Property}
-	for _, ante := range p.antecedents[key] {
+	for _, ante := range p.Antecedents(b.Cube().Template(target.Entity), target.Property) {
 		f := changecube.FieldKey{Entity: target.Entity, Property: ante}
 		for i, changed := range b.FieldChanged(f) {
 			if changed {
@@ -571,10 +574,8 @@ func (p *Predictor) PredictWindows(b predict.Batch, out []bool) {
 // a positive prediction, nil otherwise.
 func (p *Predictor) Explain(ctx predict.Context) []changecube.PropertyID {
 	target := ctx.Target()
-	template := ctx.Cube().Template(target.Entity)
-	key := templateProperty{template: template, property: target.Property}
 	var out []changecube.PropertyID
-	for _, ante := range p.antecedents[key] {
+	for _, ante := range p.Antecedents(ctx.Cube().Template(target.Entity), target.Property) {
 		f := changecube.FieldKey{Entity: target.Entity, Property: ante}
 		if ctx.FieldChangedIn(f, ctx.Window().Span) {
 			out = append(out, ante)

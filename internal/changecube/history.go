@@ -522,6 +522,13 @@ func (hs *HistorySet) Get(field FieldKey) (History, bool) {
 	return hs.histories[i], true
 }
 
+// Index returns the position of field's history in Histories() and
+// whether it exists.
+func (hs *HistorySet) Index(field FieldKey) (int, bool) {
+	i, ok := hs.index[field]
+	return i, ok
+}
+
 // TotalChanges returns the total number of day-level changes across fields.
 func (hs *HistorySet) TotalChanges() int {
 	n := 0

@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -116,9 +115,9 @@ type Detector struct {
 	orEns      ensemble.Or
 	extOrEns   ensemble.Or
 
-	// historyless caches HistorylessConsequents; it depends only on the
-	// rules and histories, so it is recomputed wherever either is set.
-	historyless []changecube.FieldKey
+	// evidence is DetectStale's compiled view of the rules over the
+	// histories; it is rebuilt wherever either is set.
+	evidence evidenceIndex
 
 	filterStats filter.Stats
 	report      TrainReport
@@ -309,7 +308,10 @@ func TrainFilteredHintedCtx(ctx context.Context, hs *changecube.HistorySet, stat
 		Label:   "extended OR-ensemble",
 	}
 	d.report.add("train/ensembles", span.End())
-	d.historyless = d.historylessConsequents()
+
+	_, span = obs.StartSpanCtx(ctx, "train/evidence")
+	d.evidence = compileEvidence(hs, d.fieldCorr, d.assocRules)
+	d.report.add("train/evidence", span.End())
 
 	d.report.Total = time.Since(start)
 	return d, nil
@@ -433,55 +435,65 @@ func (d *Detector) DetectStaleCtx(ctx context.Context, asOf timeline.Day, window
 // never changed at all are also checked: association rules work for such
 // fields too (the paper notes they need no history for the predicted
 // field), which is how a freshly created infobox gets coverage from day
-// one.
+// one. Alerts come in (entity, property) order.
+//
+// The scan walks the evidence index compiled when the detector was built:
+// one ChangedIn per target on its own history, and only for a target that
+// did not change one per partner and antecedent. The alerts equal those of
+// asking both paper predictors' Explain about every unchanged history and
+// every history-less consequent (TestDetectStaleMatchesReference).
 func (d *Detector) DetectStale(asOf timeline.Day, windowSize int) []StaleAlert {
 	if windowSize <= 0 {
 		return nil
 	}
 	w := timeline.Window{Span: timeline.NewSpan(asOf-timeline.Day(windowSize), asOf)}
+	histories := d.histories.Histories()
+	ev := &d.evidence
 	var alerts []StaleAlert
-	scan := func(field changecube.FieldKey) {
-		ctx := predict.NewContext(d.histories, field, w)
+	var partnersStart, antesStart int32
+	for _, t := range ev.targets {
+		partners := ev.partners[partnersStart:t.partnersEnd]
+		antes := ev.antes[antesStart:t.antesEnd]
+		partnersStart, antesStart = t.partnersEnd, t.antesEnd
+		if t.history >= 0 && histories[t.history].ChangedIn(w.Span) {
+			continue // the field was updated; nothing is stale
+		}
 		var sources []string
 		explanation := ""
-		if partners := d.fieldCorr.Explain(ctx); len(partners) > 0 {
-			sources = append(sources, d.fieldCorr.Name())
-			explanation = d.explainCorrelation(partners)
-		}
-		if antes := d.assocRules.Explain(ctx); len(antes) > 0 {
-			sources = append(sources, d.assocRules.Name())
-			if explanation != "" {
-				explanation += "; "
+		var first int32
+		fired := 0
+		for _, i := range partners {
+			if histories[i].ChangedIn(w.Span) {
+				if fired == 0 {
+					first = i
+				}
+				fired++
 			}
-			explanation += d.explainRule(field, antes)
+		}
+		if fired > 0 {
+			sources = append(sources, d.fieldCorr.Name())
+			explanation = d.explainCorrelation(histories[first].Field.Property, fired)
+		}
+		for _, i := range antes {
+			if histories[i].ChangedIn(w.Span) {
+				sources = append(sources, d.assocRules.Name())
+				if explanation != "" {
+					explanation += "; "
+				}
+				explanation += d.explainRule(t.field, histories[i].Field.Property)
+				break // the explanation names the first antecedent only
+			}
 		}
 		if len(sources) == 0 {
-			return
+			continue
 		}
 		alerts = append(alerts, StaleAlert{
-			Field:       field,
+			Field:       t.field,
 			Window:      w,
 			Sources:     sources,
 			Explanation: explanation,
 		})
 	}
-	for _, h := range d.histories.Histories() {
-		if h.ChangedIn(w.Span) {
-			continue // the field was updated; nothing is stale
-		}
-		scan(h.Field)
-	}
-	// History-less rule consequents on entities we observe.
-	for _, field := range d.HistorylessConsequents() {
-		scan(field)
-	}
-	sort.Slice(alerts, func(i, j int) bool {
-		a, b := alerts[i].Field, alerts[j].Field
-		if a.Entity != b.Entity {
-			return a.Entity < b.Entity
-		}
-		return a.Property < b.Property
-	})
 	return alerts
 }
 
@@ -494,61 +506,24 @@ func (d *Detector) DetectStale(asOf timeline.Day, windowSize int) []StaleAlert {
 // the lowest entity consistently wins any first-wins tie-break downstream.
 // The list is computed once when the detector is built; the returned slice
 // is shared and must be treated as read-only.
-func (d *Detector) HistorylessConsequents() []changecube.FieldKey { return d.historyless }
+func (d *Detector) HistorylessConsequents() []changecube.FieldKey { return d.evidence.historyless }
 
-// historylessConsequents computes HistorylessConsequents from the rules
-// and histories.
-func (d *Detector) historylessConsequents() []changecube.FieldKey {
-	consequents := make(map[changecube.TemplateID][]changecube.PropertyID)
-	for _, r := range d.assocRules.Rules() {
-		consequents[r.Template] = append(consequents[r.Template], r.Consequent)
-	}
+// explainCorrelation is the summary of n fired correlation partners, the
+// first of which has property first.
+func (d *Detector) explainCorrelation(first changecube.PropertyID, n int) string {
 	cube := d.histories.Cube()
-	seen := make(map[changecube.FieldKey]bool)
-	var fields []changecube.FieldKey
-	// Histories() is sorted by (entity, property), so walking it visits
-	// entities in ascending order — no map iteration anywhere on this path.
-	prev := changecube.EntityID(-1)
-	for _, h := range d.histories.Histories() {
-		entity := h.Field.Entity
-		if entity == prev {
-			continue
-		}
-		prev = entity
-		for _, prop := range consequents[cube.Template(entity)] {
-			field := changecube.FieldKey{Entity: entity, Property: prop}
-			if seen[field] {
-				continue // two rules may share a consequent
-			}
-			seen[field] = true
-			if _, known := d.histories.Get(field); known {
-				continue // already covered by the recorded histories
-			}
-			fields = append(fields, field)
-		}
-	}
-	sort.Slice(fields, func(i, j int) bool {
-		if fields[i].Entity != fields[j].Entity {
-			return fields[i].Entity < fields[j].Entity
-		}
-		return fields[i].Property < fields[j].Property
-	})
-	return fields
-}
-
-func (d *Detector) explainCorrelation(partners []changecube.FieldKey) string {
-	cube := d.histories.Cube()
-	name := cube.Properties.Name(int32(partners[0].Property))
-	if len(partners) == 1 {
+	name := cube.Properties.Name(int32(first))
+	if n == 1 {
 		return fmt.Sprintf("correlated field %q changed", name)
 	}
-	return fmt.Sprintf("correlated field %q and %d more changed", name, len(partners)-1)
+	return fmt.Sprintf("correlated field %q and %d more changed", name, n-1)
 }
 
-func (d *Detector) explainRule(field changecube.FieldKey, antes []changecube.PropertyID) string {
+// explainRule is the summary of the fired rules ante → field, naming the
+// first fired antecedent.
+func (d *Detector) explainRule(field changecube.FieldKey, ante changecube.PropertyID) string {
 	cube := d.histories.Cube()
 	template := cube.Templates.Name(int32(cube.Template(field.Entity)))
-	ante := cube.Properties.Name(int32(antes[0]))
-	cons := cube.Properties.Name(int32(field.Property))
-	return fmt.Sprintf("rule %s -> %s of template %q fired", ante, cons, template)
+	return fmt.Sprintf("rule %s -> %s of template %q fired",
+		cube.Properties.Name(int32(ante)), cube.Properties.Name(int32(field.Property)), template)
 }

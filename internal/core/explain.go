@@ -84,9 +84,8 @@ func (d *Detector) Explain(field changecube.FieldKey, asOf timeline.Day, windowS
 
 	ctx := predict.NewContext(d.histories, field, w)
 	cube := d.histories.Cube()
-	var partners []changecube.FieldKey
-	for _, fr := range d.fieldCorr.ExplainRules(ctx) {
-		partners = append(partners, fr.Partner)
+	fired := d.fieldCorr.ExplainRules(ctx)
+	for _, fr := range fired {
 		ex.Correlations = append(ex.Correlations, CorrelationEvidence{
 			PartnerPage:     cube.Pages.Name(int32(cube.Page(fr.Partner.Entity))),
 			PartnerProperty: cube.Properties.Name(int32(fr.Partner.Property)),
@@ -94,9 +93,8 @@ func (d *Detector) Explain(field changecube.FieldKey, asOf timeline.Day, windowS
 			Theta:           d.cfg.Correlation.Theta,
 		})
 	}
-	var antes []changecube.PropertyID
-	for _, r := range d.assocRules.ExplainRules(ctx) {
-		antes = append(antes, r.Antecedent)
+	rules := d.assocRules.ExplainRules(ctx)
+	for _, r := range rules {
 		ex.Rules = append(ex.Rules, RuleEvidence{
 			Template:            cube.Templates.Name(int32(r.Template)),
 			Antecedent:          cube.Properties.Name(int32(r.Antecedent)),
@@ -112,14 +110,14 @@ func (d *Detector) Explain(field changecube.FieldKey, asOf timeline.Day, windowS
 	}
 
 	ex.Stale = !ex.ChangedInWindow && (len(ex.Correlations) > 0 || len(ex.Rules) > 0)
-	if len(partners) > 0 {
-		ex.Summary = d.explainCorrelation(partners)
+	if len(fired) > 0 {
+		ex.Summary = d.explainCorrelation(fired[0].Partner.Property, len(fired))
 	}
-	if len(antes) > 0 {
+	if len(rules) > 0 {
 		if ex.Summary != "" {
 			ex.Summary += "; "
 		}
-		ex.Summary += d.explainRule(field, antes)
+		ex.Summary += d.explainRule(field, rules[0].Antecedent)
 	}
 	return ex
 }

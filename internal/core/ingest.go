@@ -57,7 +57,7 @@ func (d *Detector) Ingest(batch []changecube.Change) error {
 		return fmt.Errorf("core: ingest: %w", err)
 	}
 	d.histories = hs
-	d.historyless = d.historylessConsequents()
+	d.evidence = compileEvidence(d.histories, d.fieldCorr, d.assocRules)
 	return nil
 }
 

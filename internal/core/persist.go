@@ -105,6 +105,6 @@ func LoadModelBytes(hs *changecube.HistorySet, stats filter.Stats, cfg Config, d
 		Members: []predict.Predictor{d.fieldCorr, d.assocRules, d.seasonalP, d.familyCorr},
 		Label:   "extended OR-ensemble",
 	}
-	d.historyless = d.historylessConsequents()
+	d.evidence = compileEvidence(d.histories, d.fieldCorr, d.assocRules)
 	return d, nil
 }

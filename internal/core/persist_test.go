@@ -128,16 +128,19 @@ func TestLoadedModelSupportsIngest(t *testing.T) {
 	}
 }
 
-// TestHistorylessConsequentsCached: the list computed when a detector is
-// built must equal a fresh computation after training, after a
-// MarshalModel → LoadModelBytes round trip, and after an Ingest gives one
-// of the listed fields its first history.
+// TestHistorylessConsequentsCached: the list and the evidence index
+// computed when a detector is built must equal a fresh computation after
+// training, after a MarshalModel → LoadModelBytes round trip, and after an
+// Ingest gives one of the listed fields its first history.
 func TestHistorylessConsequentsCached(t *testing.T) {
 	det, _ := detector(t)
 	check := func(stage string, d *Detector) {
 		t.Helper()
-		if got, want := d.HistorylessConsequents(), d.historylessConsequents(); !reflect.DeepEqual(got, want) {
+		if got, want := d.HistorylessConsequents(), historylessReference(d); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: cached %d fields, fresh %d; lists differ", stage, len(got), len(want))
+		}
+		if !reflect.DeepEqual(d.evidence, compileEvidence(d.histories, d.fieldCorr, d.assocRules)) {
+			t.Fatalf("%s: cached evidence index differs from a fresh build", stage)
 		}
 	}
 	check("trained", det)

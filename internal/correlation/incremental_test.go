@@ -209,6 +209,70 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 	}
 }
 
+// TestIncrementalSpanMoveRetrainsUntouchedPages moves the training span
+// without touching two pages, so only their in-span days change: one page
+// gains a rule (days leave the span at its start), one loses its rule (days
+// enter at its end). A third page is touched by the delta. The incremental
+// result must equal a cold Train over the moved span; reusing the two
+// untouched pages' rules would keep the lost one and miss the gained one.
+func TestIncrementalSpanMoveRetrainsUntouchedPages(t *testing.T) {
+	c := changecube.New()
+	a := changecube.PropertyID(c.Properties.Intern("a"))
+	b := changecube.PropertyID(c.Properties.Intern("b"))
+	gainE := c.AddEntityNamed("infobox test", "Gain")
+	loseE := c.AddEntityNamed("infobox test", "Lose")
+	touchedE := c.AddEntityNamed("infobox test", "Touched")
+	gain := changecube.FieldKey{Entity: gainE, Property: a}
+	lose := changecube.FieldKey{Entity: loseE, Property: a}
+	touched := changecube.FieldKey{Entity: touchedE, Property: a}
+	days := map[changecube.FieldKey][]timeline.Day{
+		gain:                            {2, 10, 20, 30},
+		{Entity: gainE, Property: b}:    {3, 10, 20, 30},
+		lose:                            {10, 20, 30, 42, 44},
+		{Entity: loseE, Property: b}:    {10, 20, 30},
+		touched:                         {10, 20},
+		{Entity: touchedE, Property: b}: {10, 20},
+	}
+	var histories []changecube.History
+	for f, d := range days {
+		histories = append(histories, changecube.NewHistory(f, d))
+	}
+	hs, err := changecube.NewHistorySet(c, histories)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Theta: 0.2, Norm: NormOverlap, MinSpanChanges: 2}
+	span := timeline.NewSpan(0, 40)
+	prevP, _, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := hs.MergeDays(map[changecube.FieldKey][]timeline.Day{touched: {25}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := timeline.NewSpan(5, 45)
+	inc, stats, err := TrainIncremental(next, moved, cfg, Previous{Predictor: prevP, Span: span},
+		changecube.Delta{Changed: map[changecube.FieldKey]bool{touched: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Train(next, moved, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(inc.Rules(), cold.Rules()) {
+		t.Fatalf("incremental %v != cold %v (stats %+v)", inc.Rules(), cold.Rules(), stats)
+	}
+	if !prevP.Covers(lose) || prevP.Covers(gain) || cold.Covers(lose) || !cold.Covers(gain) {
+		t.Fatalf("span move did not flip the untouched pages' rules: before %v, after %v",
+			prevP.Rules(), cold.Rules())
+	}
+	if stats.Full || stats.PagesRetrained != 3 {
+		t.Fatalf("stats = %+v, want an incremental retrain of all 3 pages", stats)
+	}
+}
+
 // TestIncrementalForcedFullRebuild: the escape hatch re-searches every
 // page and still produces identical rules.
 func TestIncrementalForcedFullRebuild(t *testing.T) {

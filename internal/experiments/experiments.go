@@ -386,7 +386,10 @@ func ByTemplate(c *Corpus) (*eval.Report, string, error) {
 		rows = append(rows, row{name: c.Cube.Templates.Name(int32(template)), counts: counts})
 	}
 	sort.Slice(rows, func(i, j int) bool {
-		return rows[i].counts.Predictions() > rows[j].counts.Predictions()
+		if pi, pj := rows[i].counts.Predictions(), rows[j].counts.Predictions(); pi != pj {
+			return pi > pj
+		}
+		return rows[i].name < rows[j].name
 	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "Per-template OR-ensemble results (7-day windows, test set)\n")

@@ -91,7 +91,7 @@ func TestMetricsExposesTrainStages(t *testing.T) {
 	for _, stage := range []string{
 		"filter/bot_reverts", "filter/day_dedup", "filter/create_delete", "filter/min_changes",
 		"train/correlation", "train/assocrules", "train/seasonal",
-		"train/familycorr", "train/threshold", "train/ensembles",
+		"train/familycorr", "train/threshold", "train/ensembles", "train/evidence",
 	} {
 		v := metricValue(text, "wikistale_train_stage_seconds_count", fmt.Sprintf(`stage="%s"`, stage))
 		if v < 1 {
