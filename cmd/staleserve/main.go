@@ -77,6 +77,7 @@ import (
 	"github.com/wikistale/wikistale/internal/core"
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/epochstore"
+	"github.com/wikistale/wikistale/internal/filter"
 	"github.com/wikistale/wikistale/internal/ingest"
 	"github.com/wikistale/wikistale/internal/obs/olog"
 	"github.com/wikistale/wikistale/internal/obs/quality"
@@ -209,17 +210,25 @@ func run() {
 			loaded.Record.Fields, loaded.Checkpoint)
 	case corpus != "":
 		cube := readCube(corpus)
+		// Train under a root trace, so /debug/traces shows the startup
+		// training's stage breakdown beside request and retrain traces.
+		// A live warm start has filtered the corpus into staging already,
+		// so it trains on the staging snapshot instead of filtering twice.
+		start := time.Now()
+		ctx, span := trace.Start(context.Background(), "train")
+		var det *core.Detector
 		if *live {
 			if st, err = ingest.NewStagingFromCube(cube, cfg.Filter); err != nil {
 				log.Fatal(err)
 			}
+			var hs *changecube.HistorySet
+			var stats filter.Stats
+			if hs, stats, err = st.Snapshot(); err == nil {
+				det, err = core.TrainFilteredHintedCtx(ctx, hs, stats, cfg, core.TrainHints{})
+			}
+		} else {
+			det, err = core.TrainCtx(ctx, cube, cfg)
 		}
-		// Train under a root trace, so /debug/traces shows the startup
-		// training's filter/train stage breakdown beside request and
-		// retrain traces.
-		start := time.Now()
-		ctx, span := trace.Start(context.Background(), "train")
-		det, err := core.TrainCtx(ctx, cube, cfg)
 		span.End()
 		if err != nil {
 			log.Fatalf("training on %s: %v", corpus, err)

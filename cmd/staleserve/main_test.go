@@ -90,7 +90,7 @@ func TestParseSimScale(t *testing.T) {
 // without a feed: its /v1/* bodies must be byte-identical to an in-process
 // server over the same trained detector, with and without -store, and a
 // restart with -store must boot from the persisted epoch and serve the
-// same bodies.
+// same bodies. So must a live warm start from the corpus on an empty feed.
 func TestServeCorpusAndRestartFromStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs staleserve")
@@ -147,6 +147,10 @@ func TestServeCorpusAndRestartFromStore(t *testing.T) {
 	paths := []string{"/v1/stale?window=7", "/v1/field?" + field, "/v1/explain?" + field + "&window=7", "/v1/stats", "/v1/catalog"}
 
 	store := filepath.Join(dir, "store")
+	emptyFeed := filepath.Join(dir, "empty.jsonl")
+	if err := os.WriteFile(emptyFeed, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, run := range []struct {
 		name     string
 		args     []string
@@ -155,6 +159,8 @@ func TestServeCorpusAndRestartFromStore(t *testing.T) {
 		{"corpus", []string{"-i", corpus}, ""},
 		{"corpus+store", []string{"-i", corpus, "-store", store}, ""},
 		{"restart", []string{"-i", corpus, "-store", store}, "latest"},
+		// A live warm start trains on its staging snapshot of the corpus.
+		{"live warm start", []string{"-live", "-i", corpus, "-source", emptyFeed}, ""},
 	} {
 		base, stop := startServer(t, bin, run.args...)
 		for _, path := range paths {

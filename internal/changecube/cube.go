@@ -333,6 +333,39 @@ func (c *Cube) FieldChanges() map[FieldKey][]Change {
 	return out
 }
 
+// FieldIndexes sorts the cube and groups its log indexes by field, each
+// group in chronological order. The indexes stay valid until the cube is
+// sorted again, which only does anything after an append out of
+// canonical order. Read a group through FieldLog.
+func (c *Cube) FieldIndexes() map[FieldKey][]uint32 {
+	c.Sort()
+	out := make(map[FieldKey][]uint32)
+	c.EachChange(func(i int, ch Change) bool {
+		k := FieldKey{Entity: ch.Entity, Property: ch.Property}
+		out[k] = append(out[k], uint32(i))
+		return true
+	})
+	return out
+}
+
+// FieldLog is one field's chronological change list read through a
+// cube's packed log: 4 bytes per change instead of a materialized Change.
+type FieldLog struct {
+	cube *Cube
+	idx  []uint32
+}
+
+// FieldLog returns the view of the changes at log indexes idx, which
+// must be one field's changes in chronological order (a FieldIndexes
+// group, or one kept in that order since).
+func (c *Cube) FieldLog(idx []uint32) FieldLog { return FieldLog{c, idx} }
+
+// Len returns the number of changes in the view.
+func (l FieldLog) Len() int { return len(l.idx) }
+
+// At returns the view's i-th change; its value aliases the cube's arena.
+func (l FieldLog) At(i int) Change { return l.cube.ChangeAt(int(l.idx[i])) }
+
 // EntitiesByPage groups entity ids by the page they appear on.
 func (c *Cube) EntitiesByPage() map[PageID][]EntityID {
 	out := make(map[PageID][]EntityID)

@@ -141,7 +141,7 @@ type StageTiming struct {
 // them on /metrics; the report is the human-readable view for the CLIs'
 // -v/-timing flags.
 type TrainReport struct {
-	// Filter is the noise-funnel report, including per-stage durations.
+	// Filter is the noise-funnel report.
 	Filter filter.Stats
 	// Stages lists the model-training steps in execution order.
 	Stages []StageTiming
@@ -153,14 +153,10 @@ func (r *TrainReport) add(name string, d time.Duration) {
 	r.Stages = append(r.Stages, StageTiming{Name: name, Duration: d})
 }
 
-// String renders the report as an aligned two-column table, filter
-// stages first.
+// String renders the report as an aligned two-column table.
 func (r TrainReport) String() string {
 	var b strings.Builder
 	b.WriteString("stage timings:\n")
-	for _, st := range r.Filter.Stages {
-		fmt.Fprintf(&b, "  %-28s %v\n", "filter/"+st.Name, st.Duration.Round(time.Microsecond))
-	}
 	for _, st := range r.Stages {
 		fmt.Fprintf(&b, "  %-28s %v\n", st.Name, st.Duration.Round(time.Microsecond))
 	}
@@ -180,8 +176,8 @@ func Train(cube *changecube.Cube, cfg Config) (*Detector, error) {
 // live retrain trigger), the filter and per-model stage timers become its
 // child spans, so /debug/traces shows where a retrain's time went.
 func TrainCtx(ctx context.Context, cube *changecube.Cube, cfg Config) (*Detector, error) {
-	fctx, span := obs.StartSpanCtx(ctx, "train/filter")
-	hs, stats, err := filter.ApplyCtx(fctx, cube, cfg.Filter)
+	_, span := obs.StartSpanCtx(ctx, "train/filter")
+	hs, stats, err := filter.Apply(cube, cfg.Filter)
 	if err != nil {
 		return nil, fmt.Errorf("core: filtering: %w", err)
 	}

@@ -45,7 +45,7 @@ func (d *Detector) Ingest(batch []changecube.Change) error {
 	dayUpdates := make(map[changecube.FieldKey][]timeline.Day, len(byField))
 	for key, chs := range byField {
 		slices.SortStableFunc(chs, func(a, b changecube.Change) int { return cmp.Compare(a.Time, b.Time) })
-		if days := filter.FieldDays(chs, d.cfg.Filter); len(days) > 0 {
+		if days := filter.ApplyField(chs, d.cfg.Filter).Days; len(days) > 0 {
 			dayUpdates[key] = days
 		}
 	}

@@ -10,9 +10,9 @@ import (
 // FieldFunnel is the per-field view of the §4 funnel: the surviving change
 // days of one field plus the change count after each per-field stage. The
 // live-ingestion staging cube keeps one of these per touched field and
-// brings it up to date with ResumeField on append, so the aggregate of all
-// FieldFunnels always equals what a batch Apply over the same changes
-// would report.
+// brings it up to date with ResumeField on append; Apply runs the same
+// walk once per field of a cube, so the aggregate of all FieldFunnels
+// always equals what Apply over the same changes reports.
 type FieldFunnel struct {
 	// Raw is the number of raw changes that entered the funnel.
 	Raw int
@@ -60,11 +60,6 @@ func ApplyField(chs []changecube.Change, cfg Config) FieldFunnel {
 	return f
 }
 
-// FieldDays is ApplyField reduced to the surviving change days.
-func FieldDays(chs []changecube.Change, cfg Config) []timeline.Day {
-	return ApplyField(chs, cfg).Days
-}
-
 // ResumeField brings f, the funnel of a field's earlier change list, up to
 // date with chs, the field's current list, which must agree with the
 // earlier one at every position before from. The walk restarts at the
@@ -73,7 +68,7 @@ func FieldDays(chs []changecube.Change, cfg Config) []timeline.Day {
 // landing at or before the resume point takes the from-empty walk. The
 // result equals ApplyField over chs.
 //
-// The walk is the per-field part of Apply in one pass: a change is dropped
+// The walk is stages 1–3 of the pipeline in one pass: a change is dropped
 // with its successor when the successor is a bot update restoring the
 // value before it within the horizon (pairs taken greedily from the
 // front), and the survivors are grouped by day, each group counting as a

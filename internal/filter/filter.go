@@ -4,20 +4,17 @@
 // resolution, replacing each field-day's changes by one representative
 // change (the mode of the day's values, most recent value on ties),
 // (3) drop creations and deletions, and (4) drop fields with fewer than
-// five remaining changes. On the paper's corpus the funnel retains 9.2 % of
-// the raw 283 M changes; the pipeline reports the same per-stage statistics
-// for any input.
+// five remaining changes. The first three stages are one walk per field
+// (ResumeField); the fourth is a corpus-level gate on its result. On the
+// paper's corpus the funnel retains 9.2 % of the raw 283 M changes; the
+// pipeline reports the same per-stage statistics for any input.
 package filter
 
 import (
-	"context"
 	"fmt"
-	"sort"
-	"time"
 
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/obs"
-	"github.com/wikistale/wikistale/internal/timeline"
 )
 
 // Config tunes the pipeline. The zero value is not valid; use Default.
@@ -35,14 +32,22 @@ func Default() Config {
 	return Config{MinChanges: 5, BotRevertHorizonDays: 2}
 }
 
+// Validate reports a configuration the pipeline cannot run with.
+func (c Config) Validate() error {
+	if c.MinChanges < 1 {
+		return fmt.Errorf("filter: MinChanges must be >= 1, got %d", c.MinChanges)
+	}
+	if c.BotRevertHorizonDays < 0 {
+		return fmt.Errorf("filter: negative BotRevertHorizonDays %d", c.BotRevertHorizonDays)
+	}
+	return nil
+}
+
 // StageStats records the change counts entering and leaving one stage.
 type StageStats struct {
 	Name string
 	In   int
 	Out  int
-	// Duration is the stage's wall-clock time in the Apply call that
-	// produced these stats; zero for stats from other sources.
-	Duration time.Duration
 }
 
 // Removed returns the fraction of incoming changes the stage removed.
@@ -67,206 +72,82 @@ func (s Stats) Survival() float64 {
 	return float64(s.Stages[len(s.Stages)-1].Out) / float64(s.Stages[0].In)
 }
 
-// String renders the funnel like the paper's §4 narrative, with the
-// per-stage wall-clock time when the stats carry one.
+// String renders the funnel like the paper's §4 narrative.
 func (s Stats) String() string {
 	out := ""
 	for _, st := range s.Stages {
-		out += fmt.Sprintf("%-18s %9d -> %9d  (-%6.3f%%)", st.Name, st.In, st.Out, 100*st.Removed())
-		if st.Duration > 0 {
-			out += fmt.Sprintf("  %v", st.Duration.Round(time.Microsecond))
-		}
-		out += "\n"
+		out += fmt.Sprintf("%-18s %9d -> %9d  (-%6.3f%%)\n", st.Name, st.In, st.Out, 100*st.Removed())
 	}
 	out += fmt.Sprintf("%-18s %6.2f%% of raw changes remain\n", "survival", 100*s.Survival())
 	return out
 }
 
-// record appends one stage to the funnel and mirrors it into the default
-// obs registry: the duration lands in wikistale_train_stage_seconds
-// (stage label "filter/<slug>") and the change counts in the
-// wikistale_filter_stage_{in,out}_total counters.
-func (s *Stats) record(name string, span *obs.Span, in, out int) {
-	d := span.End()
-	s.Stages = append(s.Stages, StageStats{Name: name, In: in, Out: out, Duration: d})
-	labels := obs.Labels{"stage": span.Name()}
-	obs.Default.Counter("wikistale_filter_stage_in_total", labels).Add(uint64(in))
-	obs.Default.Counter("wikistale_filter_stage_out_total", labels).Add(uint64(out))
+// stages names the funnel's stages in order: the report name and the
+// stage label of the wikistale_filter_stage_{in,out}_total counters.
+var stages = [4]struct{ name, label string }{
+	{"bot reverts", "filter/bot_reverts"},
+	{"day dedup", "filter/day_dedup"},
+	{"create/delete", "filter/create_delete"},
+	{"min changes", "filter/min_changes"},
 }
 
-// Apply runs the pipeline over cube and returns the surviving day-level
-// histories plus the funnel statistics.
+// Counts is the number of changes entering the funnel and surviving each
+// of its stages, summed over fields.
+type Counts struct {
+	Raw, AfterBotReverts, AfterDayDedup, AfterCreateDelete, AfterMinChanges int
+}
+
+// Add folds one field's funnel into c with weight w: 1 adds the field,
+// -1 takes an earlier funnel of it back out. The field counts at stage 4
+// when its days clear minChanges.
+func (c *Counts) Add(f FieldFunnel, minChanges, w int) {
+	c.Raw += w * f.Raw
+	c.AfterBotReverts += w * f.AfterBotReverts
+	c.AfterDayDedup += w * f.AfterDayDedup
+	c.AfterCreateDelete += w * len(f.Days)
+	if len(f.Days) >= minChanges {
+		c.AfterMinChanges += w * len(f.Days)
+	}
+}
+
+// Stats is the funnel report of the counts.
+func (c Counts) Stats() Stats {
+	n := [...]int{c.Raw, c.AfterBotReverts, c.AfterDayDedup, c.AfterCreateDelete, c.AfterMinChanges}
+	s := Stats{Stages: make([]StageStats, len(stages))}
+	for i, st := range stages {
+		s.Stages[i] = StageStats{Name: st.name, In: n[i], Out: n[i+1]}
+	}
+	return s
+}
+
+// Apply runs the pipeline over cube, which it sorts, and returns the
+// surviving day-level histories plus the funnel statistics: one
+// ResumeField walk per field through the cube's packed log, then the
+// MinChanges gate. The counts are also added to the default obs
+// registry's wikistale_filter_stage_{in,out}_total counters.
 func Apply(cube *changecube.Cube, cfg Config) (*changecube.HistorySet, Stats, error) {
-	return ApplyCtx(context.Background(), cube, cfg)
-}
-
-// ApplyCtx is Apply with trace propagation: when ctx carries a trace (a
-// retrain trigger, typically), the four stage timers become child spans of
-// it in addition to their usual histogram observations.
-func ApplyCtx(ctx context.Context, cube *changecube.Cube, cfg Config) (*changecube.HistorySet, Stats, error) {
-	if cfg.MinChanges < 1 {
-		return nil, Stats{}, fmt.Errorf("filter: MinChanges must be >= 1, got %d", cfg.MinChanges)
+	if err := cfg.Validate(); err != nil {
+		return nil, Stats{}, err
 	}
-	if cfg.BotRevertHorizonDays < 0 {
-		return nil, Stats{}, fmt.Errorf("filter: negative BotRevertHorizonDays")
-	}
-	var stats Stats
-
-	fields := cube.FieldChanges()
-	total := cube.NumChanges()
-
-	// Stage 1: bot reverts.
-	_, span := obs.StartSpanCtx(ctx, "filter/bot_reverts")
-	afterBots := 0
-	botFiltered := make(map[changecube.FieldKey][]changecube.Change, len(fields))
-	for k, chs := range fields {
-		kept := dropBotReverts(chs, cfg.BotRevertHorizonDays)
-		botFiltered[k] = kept
-		afterBots += len(kept)
-	}
-	stats.record("bot reverts", span, total, afterBots)
-
-	// Stage 2: day-level dedup via mode.
-	_, span = obs.StartSpanCtx(ctx, "filter/day_dedup")
-	afterDedup := 0
-	dayChanges := make(map[changecube.FieldKey][]DayRepresentative, len(fields))
-	for k, chs := range botFiltered {
-		dc := DayRepresentatives(chs)
-		dayChanges[k] = dc
-		afterDedup += len(dc)
-	}
-	stats.record("day dedup", span, afterBots, afterDedup)
-
-	// Stage 3: drop creations and deletions.
-	_, span = obs.StartSpanCtx(ctx, "filter/create_delete")
-	afterCD := 0
-	updatesOnly := make(map[changecube.FieldKey][]timeline.Day, len(fields))
-	for k, dc := range dayChanges {
-		var days []timeline.Day
-		for _, d := range dc {
-			if d.Kind == changecube.Update {
-				days = append(days, d.Day)
-			}
-		}
-		if len(days) > 0 {
-			updatesOnly[k] = days
-			afterCD += len(days)
-		}
-	}
-	stats.record("create/delete", span, afterDedup, afterCD)
-
-	// Stage 4: minimum change count per field.
-	_, span = obs.StartSpanCtx(ctx, "filter/min_changes")
-	afterMin := 0
+	var n Counts
 	var histories []changecube.History
-	for k, days := range updatesOnly {
-		if len(days) < cfg.MinChanges {
-			continue
+	for key, idx := range cube.FieldIndexes() {
+		var f FieldFunnel
+		ResumeField(&f, cube.FieldLog(idx), 0, cfg)
+		n.Add(f, cfg.MinChanges, 1)
+		if len(f.Days) >= cfg.MinChanges {
+			histories = append(histories, changecube.NewHistory(key, f.Days))
 		}
-		histories = append(histories, changecube.NewHistory(k, days))
-		afterMin += len(days)
 	}
-	stats.record("min changes", span, afterCD, afterMin)
-
+	stats := n.Stats()
+	for i, st := range stats.Stages {
+		labels := obs.Labels{"stage": stages[i].label}
+		obs.Default.Counter("wikistale_filter_stage_in_total", labels).Add(uint64(st.In))
+		obs.Default.Counter("wikistale_filter_stage_out_total", labels).Add(uint64(st.Out))
+	}
 	hs, err := changecube.NewHistorySet(cube, histories)
 	if err != nil {
 		return nil, stats, fmt.Errorf("filter: %w", err)
 	}
 	return hs, stats, nil
-}
-
-// dropBotReverts removes pairs (edit, bot revert) where a bot change
-// restores the value preceding the edit within the horizon. chs must be the
-// chronological change list of a single field.
-func dropBotReverts(chs []changecube.Change, horizonDays int) []changecube.Change {
-	if len(chs) < 3 {
-		return chs
-	}
-	horizon := int64(horizonDays) * 24 * 60 * 60
-	drop := make([]bool, len(chs))
-	for i := 1; i+1 < len(chs); i++ {
-		if drop[i] || drop[i+1] {
-			continue
-		}
-		revert := chs[i+1]
-		if !revert.Bot || revert.Kind != changecube.Update || chs[i].Kind != changecube.Update {
-			continue
-		}
-		if revert.Value != chs[i-1].Value {
-			continue
-		}
-		if revert.Time-chs[i].Time > horizon {
-			continue
-		}
-		drop[i] = true
-		drop[i+1] = true
-	}
-	kept := chs[:0:0]
-	for i, ch := range chs {
-		if !drop[i] {
-			kept = append(kept, ch)
-		}
-	}
-	return kept
-}
-
-// DayRepresentative is the single change a field-day is reduced to.
-type DayRepresentative struct {
-	Day   timeline.Day
-	Value string
-	Kind  changecube.ChangeKind
-}
-
-// DayRepresentatives reduces a field's chronological change list to one
-// representative change per day: the mode of the day's values, breaking
-// ties towards the most recent value. The representative kind is Create if
-// the day contains the field's first-ever change and it is a Create,
-// Delete if the day's final change is a Delete, and Update otherwise.
-func DayRepresentatives(chs []changecube.Change) []DayRepresentative {
-	var out []DayRepresentative
-	i := 0
-	first := true
-	for i < len(chs) {
-		day := chs[i].Day()
-		j := i
-		for j < len(chs) && chs[j].Day() == day {
-			j++
-		}
-		group := chs[i:j]
-		kind := changecube.Update
-		if group[len(group)-1].Kind == changecube.Delete {
-			kind = changecube.Delete
-		} else if first && group[0].Kind == changecube.Create {
-			kind = changecube.Create
-		}
-		out = append(out, DayRepresentative{Day: day, Value: modeValue(group), Kind: kind})
-		first = false
-		i = j
-	}
-	return out
-}
-
-// modeValue returns the most frequent value within a day's change group;
-// ties go to the value occurring most recently, per the paper.
-func modeValue(group []changecube.Change) string {
-	if len(group) == 1 {
-		return group[0].Value
-	}
-	counts := make(map[string]int, len(group))
-	lastSeen := make(map[string]int, len(group))
-	for i, ch := range group {
-		counts[ch.Value]++
-		lastSeen[ch.Value] = i
-	}
-	values := make([]string, 0, len(counts))
-	for v := range counts {
-		values = append(values, v)
-	}
-	sort.Slice(values, func(a, b int) bool {
-		if counts[values[a]] != counts[values[b]] {
-			return counts[values[a]] > counts[values[b]]
-		}
-		return lastSeen[values[a]] > lastSeen[values[b]]
-	})
-	return values[0]
 }

@@ -2,6 +2,7 @@ package filter
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,9 +37,8 @@ func TestDropBotReverts(t *testing.T) {
 		{Time: 20, Value: "good", Kind: changecube.Update, Bot: true},
 		upd(30, "newer"),
 	}
-	kept := dropBotReverts(chs, 2)
-	if len(kept) != 2 || kept[0].Value != "good" || kept[1].Value != "newer" {
-		t.Fatalf("kept = %+v", kept)
+	if f := ApplyField(chs, Default()); f.AfterBotReverts != 2 {
+		t.Fatalf("%d changes survive stage 1, want 2 (edit and revert dropped): %+v", f.AfterBotReverts, f)
 	}
 }
 
@@ -48,9 +48,8 @@ func TestBotRevertOutsideHorizonKept(t *testing.T) {
 		upd(10, "VANDAL"),
 		{Time: 10 + 3*day, Value: "good", Kind: changecube.Update, Bot: true},
 	}
-	kept := dropBotReverts(chs, 2)
-	if len(kept) != 3 {
-		t.Fatalf("late bot revert removed: %+v", kept)
+	if f := ApplyField(chs, Default()); f.AfterBotReverts != 3 {
+		t.Fatalf("late bot revert removed: %+v", f)
 	}
 }
 
@@ -60,28 +59,13 @@ func TestBotEditThatIsNotARevertKept(t *testing.T) {
 		upd(10, "b"),
 		{Time: 20, Value: "c", Kind: changecube.Update, Bot: true},
 	}
-	if kept := dropBotReverts(chs, 2); len(kept) != 3 {
-		t.Fatalf("bot edit with new value removed: %+v", kept)
+	if f := ApplyField(chs, Default()); f.AfterBotReverts != 3 {
+		t.Fatalf("bot edit with new value removed: %+v", f)
 	}
 }
 
-func TestDayRepresentativesMode(t *testing.T) {
-	chs := []changecube.Change{
-		upd(0, "x"), upd(100, "y"), upd(200, "x"), // day 0: mode x
-		upd(day, "a"), upd(day+1, "b"), // day 1: tie, most recent wins -> b
-	}
-	reps := DayRepresentatives(chs)
-	if len(reps) != 2 {
-		t.Fatalf("reps = %+v", reps)
-	}
-	if reps[0].Value != "x" || reps[0].Day != 0 {
-		t.Fatalf("day 0 rep = %+v", reps[0])
-	}
-	if reps[1].Value != "b" || reps[1].Day != 1 {
-		t.Fatalf("day 1 rep = %+v (tie must go to most recent)", reps[1])
-	}
-}
-
+// TestDayRepresentativeKinds: a day opening the field with a Create and a
+// day closing with a Delete are dropped at stage 3; the update day stays.
 func TestDayRepresentativeKinds(t *testing.T) {
 	chs := []changecube.Change{
 		{Time: 0, Value: "v", Kind: changecube.Create},
@@ -89,18 +73,12 @@ func TestDayRepresentativeKinds(t *testing.T) {
 		upd(day, "x"),
 		{Time: 2 * day, Kind: changecube.Delete},
 	}
-	reps := DayRepresentatives(chs)
-	if len(reps) != 3 {
-		t.Fatalf("reps = %+v", reps)
+	f := ApplyField(chs, Default())
+	if f.AfterDayDedup != 3 {
+		t.Fatalf("%d day groups, want 3: %+v", f.AfterDayDedup, f)
 	}
-	if reps[0].Kind != changecube.Create {
-		t.Fatalf("first day should be Create: %+v", reps[0])
-	}
-	if reps[1].Kind != changecube.Update {
-		t.Fatalf("second day should be Update: %+v", reps[1])
-	}
-	if reps[2].Kind != changecube.Delete {
-		t.Fatalf("third day should be Delete: %+v", reps[2])
+	if want := []timeline.Day{1}; !slices.Equal(f.Days, want) {
+		t.Fatalf("update days = %v, want %v (day 0 is a Create, day 2 a Delete)", f.Days, want)
 	}
 }
 
@@ -230,11 +208,5 @@ func TestApplyIdempotentOnCleanData(t *testing.T) {
 		if st.In != st.Out {
 			t.Fatalf("stage %s removed clean changes: %+v", st.Name, st)
 		}
-	}
-}
-
-func TestModeValueSingleton(t *testing.T) {
-	if v := modeValue([]changecube.Change{upd(0, "only")}); v != "only" {
-		t.Fatalf("modeValue singleton = %q", v)
 	}
 }

@@ -10,82 +10,52 @@ import (
 	"github.com/wikistale/wikistale/internal/timeline"
 )
 
-// TestApplyFieldMatchesApply: summing every field's FieldFunnel over a
-// random cube must reproduce the batch pipeline's per-stage counts and
-// histories exactly — this is the contract live ingestion's incremental
-// refiltering is built on.
+// TestApplyFieldMatchesApply: Apply — one ResumeField walk per field plus
+// the MinChanges gate — must reproduce the four-pass reference pipeline's
+// histories and per-stage counts exactly, on random cubes whose fields
+// carry multi-change days, creates and deletes, and bot reverts just
+// inside, on and just past the horizon, some arriving out of order.
 func TestApplyFieldMatchesApply(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cube := changecube.New()
-	props := make([]changecube.PropertyID, 6)
-	for i := range props {
-		props[i] = changecube.PropertyID(cube.Properties.Intern(string(rune('a' + i))))
-	}
-	for e := 0; e < 8; e++ {
-		ent := cube.AddEntityNamed("tmpl", string(rune('A'+e)))
-		for _, p := range props[:1+rng.Intn(len(props))] {
-			n := rng.Intn(12)
-			for i := 0; i < n; i++ {
-				kind := changecube.Update
-				switch rng.Intn(10) {
-				case 0:
-					kind = changecube.Create
-				case 1:
-					kind = changecube.Delete
+	var removed [4]int // changes each stage removed, over all cubes
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{MinChanges: 1 + rng.Intn(6), BotRevertHorizonDays: 1 + rng.Intn(3)}
+		cube := changecube.New()
+		props := make([]changecube.PropertyID, 4)
+		for i := range props {
+			props[i] = changecube.PropertyID(cube.Properties.Intern(string(rune('a' + i))))
+		}
+		for e := 0; e < 1+rng.Intn(6); e++ {
+			ent := cube.AddEntityNamed("tmpl", string(rune('A'+e)))
+			for _, p := range props[:1+rng.Intn(len(props))] {
+				for _, ch := range randomFieldFeed(rng, int64(cfg.BotRevertHorizonDays)*day) {
+					ch.Entity, ch.Property = ent, p
+					cube.Add(ch)
 				}
-				cube.Add(changecube.Change{
-					Time:     int64(rng.Intn(400)) * day,
-					Entity:   ent,
-					Property: p,
-					Value:    string(rune('0' + rng.Intn(3))),
-					Kind:     kind,
-					Bot:      rng.Intn(5) == 0,
-				})
 			}
 		}
-	}
-	cfg := Config{MinChanges: 3, BotRevertHorizonDays: 2}
 
-	hs, stats, err := Apply(cube, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw, afterBots, afterDedup, afterCD, afterMin int
-	var histories []changecube.History
-	for key, chs := range cube.FieldChanges() {
-		f := ApplyField(chs, cfg)
-		raw += f.Raw
-		afterBots += f.AfterBotReverts
-		afterDedup += f.AfterDayDedup
-		afterCD += len(f.Days)
-		if len(f.Days) >= cfg.MinChanges {
-			afterMin += len(f.Days)
-			histories = append(histories, changecube.NewHistory(key, f.Days))
+		want, wantStats, err := applyReference(cube, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotStats, err := Apply(cube, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotStats, wantStats) {
+			t.Fatalf("seed %d, %+v: Apply funnel\n%v differs from the reference\n%v", seed, cfg, gotStats, wantStats)
+		}
+		if !reflect.DeepEqual(got.Histories(), want.Histories()) {
+			t.Fatalf("seed %d, %+v: Apply histories differ from the reference", seed, cfg)
+		}
+		for i, st := range wantStats.Stages {
+			removed[i] += st.In - st.Out
 		}
 	}
-	got := [][2]int{{raw, afterBots}, {afterBots, afterDedup}, {afterDedup, afterCD}, {afterCD, afterMin}}
-	for i, st := range stats.Stages {
-		if got[i][0] != st.In || got[i][1] != st.Out {
-			t.Fatalf("stage %q: summed funnels say %d->%d, Apply says %d->%d",
-				st.Name, got[i][0], got[i][1], st.In, st.Out)
-		}
-	}
-	perField, err := changecube.NewHistorySet(cube, histories)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(perField.Histories(), hs.Histories()) {
-		t.Fatal("per-field histories differ from Apply's")
-	}
-}
-
-// TestFieldDaysIsApplyFieldDays: the legacy helper stays a pure view.
-func TestFieldDaysIsApplyFieldDays(t *testing.T) {
-	cube := fieldCube(upd(0, "a"), upd(day, "b"), upd(3*day, "c"))
-	for _, chs := range cube.FieldChanges() {
-		cfg := Default()
-		if !reflect.DeepEqual(FieldDays(chs, cfg), ApplyField(chs, cfg).Days) {
-			t.Fatal("FieldDays diverges from ApplyField().Days")
+	for i, n := range removed {
+		if n == 0 {
+			t.Errorf("no cube exercised stage %d: it removed nothing", i+1)
 		}
 	}
 }

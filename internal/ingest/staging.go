@@ -35,16 +35,6 @@ type fieldBuf struct {
 	funnel filter.FieldFunnel
 }
 
-// stagedChanges is a field's raw change list read through the staging
-// cube's packed log, the input of filter.ResumeField.
-type stagedChanges struct {
-	cube *changecube.Cube
-	raw  []uint32
-}
-
-func (s stagedChanges) Len() int                   { return len(s.raw) }
-func (s stagedChanges) At(i int) changecube.Change { return s.cube.ChangeAt(int(s.raw[i])) }
-
 // Staging is the mutable ingestion buffer: a change cube that grows as
 // events arrive, with the §4 per-field noise stages (bot-revert removal,
 // day dedup, creation/deletion removal) resumed on every touched field
@@ -67,11 +57,11 @@ type Staging struct {
 	ordinal map[pageTemplate]int // next free ordinal per (page, template)
 	fields  map[changecube.FieldKey]*fieldBuf
 
-	// Aggregate funnel counters, maintained by per-field delta so they
-	// always match what a batch filter.Apply over the same changes reports.
-	raw, afterBots, afterDedup, afterCD, afterMin int
-	eligible                                      int // fields clearing MinChanges
-	appended                                      uint64
+	// Aggregate funnel counts, maintained by per-field delta so they
+	// always match what filter.Apply over the same changes reports.
+	counts   filter.Counts
+	eligible int // fields clearing MinChanges
+	appended uint64
 
 	// cursor is the feed position after the newest applied batch (set by
 	// AppendAt); snapCP freezes cursor + entity ordinals at the moment of
@@ -84,11 +74,8 @@ type Staging struct {
 
 // NewStaging returns an empty staging buffer (a cold start).
 func NewStaging(cfg filter.Config) (*Staging, error) {
-	if cfg.MinChanges < 1 {
-		return nil, fmt.Errorf("ingest: MinChanges must be >= 1, got %d", cfg.MinChanges)
-	}
-	if cfg.BotRevertHorizonDays < 0 {
-		return nil, fmt.Errorf("ingest: negative BotRevertHorizonDays")
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("ingest: %w", err)
 	}
 	return &Staging{
 		cfg:     cfg,
@@ -136,21 +123,11 @@ func NewStagingFromCubeAt(cube *changecube.Cube, cfg filter.Config, ordinals []i
 			st.ordinal[pt] = ord + 1
 		}
 	}
-	// Sort once so within-field index order is chronological, then record
-	// per-field log indexes in a single pass. This is the staging cube's
-	// only sort ever: every index taken below stays valid afterwards.
-	st.cube.Sort()
-	st.cube.EachChange(func(i int, ch changecube.Change) bool {
-		key := changecube.FieldKey{Entity: ch.Entity, Property: ch.Property}
-		buf, ok := st.fields[key]
-		if !ok {
-			buf = &fieldBuf{}
-			st.fields[key] = buf
-		}
-		buf.raw = append(buf.raw, uint32(i))
-		return true
-	})
-	for _, buf := range st.fields {
+	// FieldIndexes is the staging cube's only sort ever: every index it
+	// returns stays valid afterwards.
+	for key, raw := range st.cube.FieldIndexes() {
+		buf := &fieldBuf{raw: raw}
+		st.fields[key] = buf
 		st.refilter(buf, 0)
 	}
 	// The buffer's state corresponds to pos exactly, so that is its
@@ -273,27 +250,23 @@ func (st *Staging) stage(ev Event) (*fieldBuf, int) {
 func (st *Staging) refilter(buf *fieldBuf, from int) {
 	old := buf.funnel
 	oldEligible := len(old.Days) >= st.cfg.MinChanges
-	filter.ResumeField(&buf.funnel, stagedChanges{st.cube, buf.raw}, from, st.cfg)
+	filter.ResumeField(&buf.funnel, st.cube.FieldLog(buf.raw), from, st.cfg)
 	newEligible := len(buf.funnel.Days) >= st.cfg.MinChanges
 
-	st.raw += buf.funnel.Raw - old.Raw
-	st.afterBots += buf.funnel.AfterBotReverts - old.AfterBotReverts
-	st.afterDedup += buf.funnel.AfterDayDedup - old.AfterDayDedup
-	st.afterCD += len(buf.funnel.Days) - len(old.Days)
+	st.counts.Add(old, st.cfg.MinChanges, -1)
+	st.counts.Add(buf.funnel, st.cfg.MinChanges, 1)
 	if oldEligible {
-		st.afterMin -= len(old.Days)
 		st.eligible--
 	}
 	if newEligible {
-		st.afterMin += len(buf.funnel.Days)
 		st.eligible++
 	}
 }
 
 // Snapshot freezes the staging state: a deep clone of the cube plus the
 // HistorySet of every field currently clearing the MinChanges gate, with
-// funnel statistics identical (up to stage durations) to what a batch
-// filter.Apply over the same changes would report. The result is immutable
+// funnel statistics identical to what filter.Apply over the same changes
+// would report. The result is immutable
 // and safe to train on while appends continue. A field whose days no
 // Append changed since an earlier Snapshot shares its day slice with that
 // snapshot, so
@@ -311,12 +284,7 @@ func (st *Staging) Snapshot() (*changecube.HistorySet, filter.Stats, error) {
 			histories = append(histories, changecube.NewHistory(key, days[:len(days):len(days)]))
 		}
 	}
-	stats := filter.Stats{Stages: []filter.StageStats{
-		{Name: "bot reverts", In: st.raw, Out: st.afterBots},
-		{Name: "day dedup", In: st.afterBots, Out: st.afterDedup},
-		{Name: "create/delete", In: st.afterDedup, Out: st.afterCD},
-		{Name: "min changes", In: st.afterCD, Out: st.afterMin},
-	}}
+	stats := st.counts.Stats()
 	if len(histories) == 0 {
 		return nil, stats, fmt.Errorf("ingest: no fields clear the %d-change gate yet", st.cfg.MinChanges)
 	}
@@ -382,7 +350,7 @@ func (st *Staging) Stats() StagingStats {
 		Changes:         st.cube.NumChanges(),
 		Fields:          len(st.fields),
 		EligibleFields:  st.eligible,
-		FilteredChanges: st.afterMin,
+		FilteredChanges: st.counts.AfterMinChanges,
 	}
 	if span := st.span(); span.Len() > 0 {
 		s.SpanStart = span.Start.String()

@@ -183,6 +183,22 @@ func TestStagingAppendAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestStagingRejectsBadConfig: cold and warm starts refuse a filter
+// configuration Apply refuses.
+func TestStagingRejectsBadConfig(t *testing.T) {
+	for _, cfg := range []filter.Config{
+		{MinChanges: 0, BotRevertHorizonDays: 2},
+		{MinChanges: 5, BotRevertHorizonDays: -1},
+	} {
+		if _, err := NewStaging(cfg); err == nil {
+			t.Errorf("NewStaging accepted %+v", cfg)
+		}
+		if _, err := NewStagingFromCube(changecube.New(), cfg); err == nil {
+			t.Errorf("NewStagingFromCube accepted %+v", cfg)
+		}
+	}
+}
+
 // TestSnapshotIsolation: a snapshot must be immune to later appends.
 func TestSnapshotIsolation(t *testing.T) {
 	cube := smallCube(t)

@@ -9,7 +9,7 @@ import (
 
 // StageHistogram is the histogram every pipeline stage span records into,
 // labeled by stage name. The acceptance surface of the repo's perf work:
-// `wikistale_train_stage_seconds{stage="filter/bot_reverts"}` etc.
+// `wikistale_train_stage_seconds{stage="train/filter"}` etc.
 const StageHistogram = "wikistale_train_stage_seconds"
 
 // DurationBuckets is the default bucketing for second-valued histograms:
@@ -32,7 +32,7 @@ var RequestBuckets = []float64{
 }
 
 func init() {
-	Default.SetHelp(StageHistogram, "Wall-clock seconds per named pipeline stage (filter/* and train/*).")
+	Default.SetHelp(StageHistogram, "Wall-clock seconds per named pipeline stage (train/*, eval/*, grid/*).")
 }
 
 // Span measures one named pipeline stage. Obtain with StartSpan (a plain

@@ -86,11 +86,10 @@ func TestMetricsPrometheusParseable(t *testing.T) {
 func TestMetricsExposesTrainStages(t *testing.T) {
 	srv, _ := testServer(t)
 	text := scrape(t, srv.URL)
-	// Training ran in testServer; every filter and train stage must have
-	// recorded at least one observation.
+	// Training ran in testServer; every train stage, the filter included,
+	// must have recorded at least one observation.
 	for _, stage := range []string{
-		"filter/bot_reverts", "filter/day_dedup", "filter/create_delete", "filter/min_changes",
-		"train/correlation", "train/assocrules", "train/seasonal",
+		"train/filter", "train/correlation", "train/assocrules", "train/seasonal",
 		"train/familycorr", "train/threshold", "train/ensembles", "train/evidence",
 	} {
 		v := metricValue(text, "wikistale_train_stage_seconds_count", fmt.Sprintf(`stage="%s"`, stage))
