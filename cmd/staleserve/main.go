@@ -355,8 +355,9 @@ func wireFeed(srv *staleserve.Server, src ingest.Source, st *ingest.Staging, loa
 		FullRebuildEvery: *retrainFull,
 	}
 	// The manager is built on the feed goroutine: a store boot still has
-	// to rebuild the staging buffer (a full filter pass, seconds on big
-	// corpora), and that must not delay the listener. Handlers reach the
+	// to rebuild the staging buffer (grouping every change by field, tens
+	// of milliseconds on big corpora), and that must not delay the
+	// listener. Handlers reach the
 	// manager through the atomic pointer, which stays nil until then — so
 	// every closure is wired before serve, and nothing races.
 	var mgrPtr atomic.Pointer[ingest.Manager]

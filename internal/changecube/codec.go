@@ -3,6 +3,7 @@ package changecube
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // The cube codec: the one definition of a cube's bytes, shared by the
@@ -95,6 +96,8 @@ func appendChange(buf []byte, ch Change, prev int64) []byte {
 // DecodeChanges reads an AppendChanges list into the cube. Each change's
 // entity, property and kind are checked against the cube before Add,
 // which panics on unknown references, so malformed input is an error.
+// A value goes from the payload straight into the cube's arena: no
+// string is allocated per change.
 func (c *Cube) DecodeChanges(r *Reader) error {
 	n, err := r.Count("changes")
 	if err != nil {
@@ -112,6 +115,9 @@ func (c *Cube) DecodeChanges(r *Reader) error {
 	return nil
 }
 
+// decodeChange reads one change. Its value aliases the payload, so the
+// change is only good for an immediate Add, which copies the value into
+// the arena.
 func (c *Cube) decodeChange(r *Reader, prev int64) (Change, error) {
 	dt, err := r.Varint("time")
 	if err != nil {
@@ -146,7 +152,7 @@ func (c *Cube) decodeChange(r *Reader, prev int64) (Change, error) {
 		Time:     prev + dt,
 		Entity:   EntityID(entity),
 		Property: PropertyID(property),
-		Value:    string(value),
+		Value:    unsafe.String(unsafe.SliceData(value), len(value)),
 		Kind:     ChangeKind(kind &^ botFlag),
 		Bot:      kind&botFlag != 0,
 	}, nil

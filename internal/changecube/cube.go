@@ -319,33 +319,87 @@ func (c *Cube) Span() timeline.Span {
 	return timeline.Span{Start: timeline.DayOfUnix(minT), End: timeline.DayOfUnix(maxT) + 1}
 }
 
-// FieldChanges groups the changes by field, preserving chronological order
-// within each group. The per-field slices are materialized fresh (values
-// alias the cube's arena).
-func (c *Cube) FieldChanges() map[FieldKey][]Change {
+// FieldIndexes sorts the cube and groups its log indexes by field:
+// fields lists every field in (entity, property) order, and groups[i] is
+// the log indexes of fields[i] in chronological order. Two stable
+// counting sorts over the packed property and entity columns order all
+// indexes by (entity, property, index) in one flat array, so each group is
+// a run of it, capped at its length so an append to one group copies
+// instead of writing into the next. The indexes stay valid until the cube
+// is sorted again, which only does anything after an append out of
+// canonical order. Read a group through FieldLog.
+func (c *Cube) FieldIndexes() (fields []FieldKey, groups [][]uint32) {
 	c.Sort()
-	out := make(map[FieldKey][]Change)
-	c.EachChange(func(_ int, ch Change) bool {
-		k := FieldKey{Entity: ch.Entity, Property: ch.Property}
-		out[k] = append(out[k], ch)
-		return true
+	n := c.log.len()
+	byProp := make([]uint32, n)
+	next := make([]uint32, c.Properties.Len()+1)
+	for _, chunk := range c.log.chunks {
+		for _, p := range chunk.props {
+			next[p+1]++
+		}
+	}
+	for p := 1; p < len(next); p++ {
+		next[p] += next[p-1]
+	}
+	i := uint32(0)
+	for _, chunk := range c.log.chunks {
+		for _, p := range chunk.props {
+			byProp[next[p]] = i
+			next[p]++
+			i++
+		}
+	}
+	// next[p] now ends property p's run of byProp.
+	propEnds := next[:c.Properties.Len()]
+
+	flat := make([]uint32, n)
+	props := make([]PropertyID, n) // property of flat[j]
+	next = make([]uint32, len(c.entities)+1)
+	for _, chunk := range c.log.chunks {
+		for _, e := range chunk.ents {
+			next[e+1]++
+		}
+	}
+	for e := 1; e < len(next); e++ {
+		next[e] += next[e-1]
+	}
+	lo := uint32(0)
+	for p, hi := range propEnds {
+		for _, i := range byProp[lo:hi] {
+			e := c.log.field(int(i)).Entity
+			flat[next[e]], props[next[e]] = i, PropertyID(p)
+			next[e]++
+		}
+		lo = hi
+	}
+
+	// next[e] now ends entity e's run of flat; within it, a field's run
+	// ends where the property changes. The first walk counts the fields,
+	// so the second fills slices of their final size.
+	ends := next[:len(c.entities)]
+	count := 0
+	eachRun(ends, props, func(EntityID, uint32, uint32) { count++ })
+	fields = make([]FieldKey, 0, count)
+	groups = make([][]uint32, 0, count)
+	eachRun(ends, props, func(e EntityID, lo, hi uint32) {
+		fields = append(fields, FieldKey{Entity: e, Property: props[lo]})
+		groups = append(groups, flat[lo:hi:hi])
 	})
-	return out
+	return fields, groups
 }
 
-// FieldIndexes sorts the cube and groups its log indexes by field, each
-// group in chronological order. The indexes stay valid until the cube is
-// sorted again, which only does anything after an append out of
-// canonical order. Read a group through FieldLog.
-func (c *Cube) FieldIndexes() map[FieldKey][]uint32 {
-	c.Sort()
-	out := make(map[FieldKey][]uint32)
-	c.EachChange(func(i int, ch Change) bool {
-		k := FieldKey{Entity: ch.Entity, Property: ch.Property}
-		out[k] = append(out[k], uint32(i))
-		return true
-	})
-	return out
+// eachRun calls fn with the bounds of every run of equal props inside
+// each entity's range, which ends[e] ends.
+func eachRun(ends []uint32, props []PropertyID, fn func(e EntityID, lo, hi uint32)) {
+	lo := uint32(0)
+	for e, end := range ends {
+		for j := lo; j < end; j++ {
+			if j+1 == end || props[j+1] != props[j] {
+				fn(EntityID(e), lo, j+1)
+				lo = j + 1
+			}
+		}
+	}
 }
 
 // FieldLog is one field's chronological change list read through a

@@ -139,10 +139,14 @@ func TestCubeGroupings(t *testing.T) {
 	if got := byTemplate[TemplateID(settlement)]; len(got) != 2 || got[0] != es[0] || got[1] != es[1] {
 		t.Fatalf("settlement template entities = %v", got)
 	}
-	fc := c.FieldChanges()
 	pop, _ := c.Properties.Lookup("population")
 	k := FieldKey{Entity: es[0], Property: PropertyID(pop)}
-	if got := fc[k]; len(got) != 2 || got[0].Time != 1000 || got[1].Time != 2000 {
+	fields, groups := c.FieldIndexes()
+	i := slices.Index(fields, k)
+	if i < 0 {
+		t.Fatal("no group for e1.population")
+	}
+	if got := c.FieldLog(groups[i]); got.Len() != 2 || got.At(0).Time != 1000 || got.At(1).Time != 2000 {
 		t.Fatalf("field changes for e1.population = %+v", got)
 	}
 }
@@ -193,5 +197,75 @@ func TestChangeDay(t *testing.T) {
 	ch := Change{Time: timeline.Date(2018, 9, 1).Unix() + 3600}
 	if ch.Day() != timeline.Date(2018, 9, 1) {
 		t.Fatalf("Day() = %v", ch.Day())
+	}
+}
+
+// TestFieldIndexesMatchesAppendGrouping: over random cubes — appended out
+// of order, with timestamp ties inside and across fields, empty, and
+// dominated by single-change fields — FieldIndexes' counting-sort groups
+// equal the plain map-append grouping of the sorted cube, come in field
+// order, are each capped at their length, and an append to one never
+// writes into another.
+func TestFieldIndexesMatchesAppendGrouping(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 200; round++ {
+		c := New()
+		ents, props := 1+rng.Intn(6), 1+rng.Intn(5)
+		c.Templates.Intern("t")
+		c.Pages.Intern("p")
+		for e := 0; e < ents; e++ {
+			c.AddEntity(0, 0)
+		}
+		for p := 0; p < props; p++ {
+			c.Properties.Intern(strconv.Itoa(p))
+		}
+		n := rng.Intn(60)
+		if round%10 == 0 {
+			n = 0
+		}
+		single := round%4 == 1 // mostly one change per field
+		for i := 0; i < n; i++ {
+			ch := Change{
+				Time:     int64(rng.Intn(8)),
+				Entity:   EntityID(rng.Intn(ents)),
+				Property: PropertyID(rng.Intn(props)),
+				Value:    strconv.Itoa(rng.Intn(3)),
+			}
+			if single {
+				ch.Entity, ch.Property = EntityID(i%ents), PropertyID(i/ents%props)
+				ch.Time = int64(rng.Intn(1000))
+			}
+			c.Add(ch)
+		}
+
+		fields, groups := c.FieldIndexes()
+		want := make(map[FieldKey][]uint32)
+		c.EachChange(func(i int, ch Change) bool {
+			k := FieldKey{Entity: ch.Entity, Property: ch.Property}
+			want[k] = append(want[k], uint32(i))
+			return true
+		})
+		if len(fields) != len(want) || len(groups) != len(want) {
+			t.Fatalf("round %d: %d fields and %d groups, want %d", round, len(fields), len(groups), len(want))
+		}
+		for i, k := range fields {
+			if i > 0 && !fieldLess(fields[i-1], k) {
+				t.Fatalf("round %d: fields %v and %v out of order", round, fields[i-1], k)
+			}
+			if !slices.Equal(groups[i], want[k]) {
+				t.Fatalf("round %d: field %v = %v, want %v", round, k, groups[i], want[k])
+			}
+			if cap(groups[i]) != len(groups[i]) {
+				t.Fatalf("round %d: field %v has cap %d for len %d", round, k, cap(groups[i]), len(groups[i]))
+			}
+		}
+		for i := range groups {
+			groups[i] = append(groups[i], 1<<31)
+		}
+		for i, k := range fields {
+			if !slices.Equal(groups[i][:len(want[k])], want[k]) {
+				t.Fatalf("round %d: an append to another group overwrote field %v", round, k)
+			}
+		}
 	}
 }

@@ -164,6 +164,14 @@ func (l *changeLog) at(i int) Change {
 	}
 }
 
+// field returns the field of the change at index i without materializing
+// the change.
+func (l *changeLog) field(i int) FieldKey {
+	c := l.chunks[i>>logChunkShift]
+	j := i & logChunkMask
+	return FieldKey{Entity: EntityID(c.ents[j]), Property: PropertyID(c.props[j])}
+}
+
 // timeAt returns the timestamp at index i without materializing the change.
 func (l *changeLog) timeAt(i int) int64 {
 	return l.chunks[i>>logChunkShift].times[i&logChunkMask]

@@ -107,7 +107,7 @@ func Open(opts Options) (*Store, error) {
 	reg.SetHelp("wikistale_epochstore_snapshot_errors_total", "Epoch snapshot attempts that failed.")
 	reg.SetHelp("wikistale_epochstore_snapshot_bytes", "Size of committed epoch snapshot files.")
 	reg.SetHelp("wikistale_epochstore_snapshot_seconds", "Wall time to encode and commit one epoch snapshot.")
-	reg.SetHelp("wikistale_epochstore_load_seconds", "Wall time to load an epoch from the store (decode + refilter + model reconstruction).")
+	reg.SetHelp("wikistale_epochstore_load_seconds", "Wall time to load an epoch from the store (decode + model reconstruction).")
 	reg.SetHelp("wikistale_epochstore_last_load_seconds", "Duration of the most recent epoch load.")
 	reg.SetHelp("wikistale_epochstore_log_records", "Valid records in the EPOCHS log.")
 	reg.SetHelp("wikistale_epochstore_retained_files", "Epoch snapshot files currently retained on disk.")

@@ -412,22 +412,25 @@ type LoadResult struct {
 }
 
 // Staging reconstructs the mutable ingestion buffer for the loaded epoch,
-// its cursor primed at Checkpoint. The rebuild re-runs the per-field noise
-// filter over the whole corpus — orders of magnitude slower than the load
-// itself — which is why it is NOT part of LoadLatest: only the feed needs
-// a staging buffer, and the feed can afford to build it in the background
-// while the Detector already serves. Concurrent callers share one rebuild;
-// a cold result returns an error.
+// its cursor primed at Checkpoint. It takes the persisted funnel counts
+// and histories as they are (ingest.NewStagingFromEpoch), so the rebuild
+// is O(fields) — grouping the cube's changes by field — and a field's
+// §4 walk runs only when the feed first touches it. The staging also
+// carries the loaded detector to ingest.NewManager, whose first retrain
+// reuses it as the previous training. The rebuild is not part of
+// LoadLatest, since only the feed needs a staging buffer, and the feed
+// builds it while the Detector already serves. Concurrent callers share
+// one rebuild; a cold result returns an error.
 func (r *LoadResult) Staging() (*ingest.Staging, error) {
 	r.stagingOnce.Do(func() {
 		if r.Detector == nil {
 			r.stagingErr = fmt.Errorf("epochstore: cold load result has no staging")
 			return
 		}
-		// NewStagingFromCubeAt clones the cube, so the detector's frozen
+		// The staging clones the cube, so the detector's frozen
 		// HistorySet is never disturbed by later appends.
-		r.staging, r.stagingErr = ingest.NewStagingFromCubeAt(
-			r.Detector.Histories().Cube(), r.cfg.Filter, r.ordinals, r.Checkpoint)
+		r.staging, r.stagingErr = ingest.NewStagingFromEpoch(
+			r.Detector, r.cfg.Filter, r.ordinals, r.Checkpoint)
 	})
 	return r.staging, r.stagingErr
 }
@@ -435,7 +438,7 @@ func (r *LoadResult) Staging() (*ingest.Staging, error) {
 // LoadLatest walks the epoch log newest-first and reconstructs the first
 // epoch that checks out: file present, size and CRC-32 matching the
 // record, payload decoding cleanly, dictionary sizes agreeing, and the
-// model reconstructing against the refiltered corpus. Records that fail
+// model reconstructing against the persisted histories. Records that fail
 // any step are skipped (the recovery ladder); a store with no loadable
 // epoch returns Outcome "cold" and no error.
 func (s *Store) LoadLatest(ctx context.Context, cfg core.Config) (*LoadResult, error) {

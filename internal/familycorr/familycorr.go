@@ -83,7 +83,8 @@ type Predictor struct {
 	// "" = page never seen on an entity). Both exist for TrainIncremental:
 	// entity IDs and pages are append-only in the live staging lineage, so
 	// the next training extends these instead of re-normalizing every
-	// page title. FromRules leaves them nil (no member data to extend).
+	// page title. FromRules leaves them nil; TrainIncremental rebuilds
+	// them when it extends such a predictor.
 	allMembers map[string][]changecube.EntityID
 	familyOf   []string
 }
@@ -200,9 +201,10 @@ func (p *Predictor) explain(ctx predict.Context, firstOnly bool) []changecube.Pr
 }
 
 // FromRules reconstructs a predictor from previously learned family rules
-// — the deserialization path for model persistence. The member index is
-// rebuilt lazily from the rules' families; Families reflects families with
-// rules rather than all multi-member families.
+// — the deserialization path for model persistence. It carries no member
+// index, so Families reflects families with rules rather than all
+// multi-member families; a TrainIncremental extending it first rebuilds
+// the index its training had.
 func FromRules(rules []Rule) *Predictor {
 	p := &Predictor{
 		rules:    append([]Rule(nil), rules...),

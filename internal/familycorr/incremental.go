@@ -63,9 +63,6 @@ func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
 	}
 	cube := hs.Cube()
 	switch {
-	case prev.Predictor != nil && prev.Predictor.allMembers == nil:
-		// FromRules-built predictors carry no member index to extend.
-		delta = delta.Rebuild("cold")
 	case cfg.Correlation.Norm != correlation.NormOverlap && span != prev.Span:
 		delta = delta.Rebuild("norm_span")
 	case cube.NumEntities() < prev.Entities:
@@ -76,60 +73,26 @@ func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
 	old, from := &Predictor{}, 0
 	if delta.Full == "" {
 		old, from = prev.Predictor, prev.Entities
-	}
-
-	// Extend the page→family cache with pages created since the previous
-	// training. Filled entries never change (page titles are immutable in
-	// the cube), so the old prefix is copied as-is.
-	famOf := make([]string, cube.Pages.Len())
-	copy(famOf, old.familyOf)
-	familyAt := func(e changecube.EntityID) string {
-		page := cube.Page(e)
-		fam := famOf[page]
-		if fam == "" {
-			fam = pagefamily.Normalize(cube.Pages.Name(int32(page)))
-			famOf[page] = fam
+		if old.familyOf == nil {
+			// A FromRules predictor: rebuild the index its training had
+			// over the entities it saw, the cube's first prev.Entities.
+			index, _ := extendIndex(&Predictor{}, cube, 0, from, cfg.MinMembers)
+			index.rules = old.rules
+			old = index
 		}
-		return fam
 	}
-
-	// Extend the member index. The previous slices are capped at their
-	// length, so a new entity's append copies before it writes and the
-	// previous predictor — still serving — is never mutated. A family that
-	// gains a member is retrained, as is every family DirtyUnits marks.
-	allMembers := make(map[string][]changecube.EntityID, len(old.allMembers))
-	for fam, m := range old.allMembers {
-		allMembers[fam] = m[:len(m):len(m)]
-	}
-	touched := make(map[string]bool)
-	for e := from; e < cube.NumEntities(); e++ {
-		id := changecube.EntityID(e)
-		fam := familyAt(id)
-		allMembers[fam] = append(allMembers[fam], id)
-		touched[fam] = true
-	}
+	// A family that gains a member is retrained, as is every family
+	// DirtyUnits marks.
+	p, touched := extendIndex(old, cube, from, cube.NumEntities(), cfg.MinMembers)
 	dirty := changecube.DirtyUnits(hs, delta, prev.Span, span, func(f changecube.FieldKey) string {
-		return familyAt(f.Entity)
+		return p.familyOf[cube.Page(f.Entity)]
 	})
 	for fam := range dirty.Units {
 		touched[fam] = true
 	}
-
-	p := &Predictor{
-		partners:   make(map[familyProperty][]changecube.PropertyID, len(old.partners)),
-		members:    make(map[string][]changecube.EntityID, len(old.members)),
-		allMembers: allMembers,
-		familyOf:   famOf,
-	}
-	// Kept families: the previous keeps minus nothing (families never
-	// shrink), plus touched families that crossed MinMembers.
-	for fam := range old.members {
-		p.members[fam] = allMembers[fam]
-	}
 	var retrain []string
 	for fam := range touched {
-		if len(allMembers[fam]) >= cfg.MinMembers {
-			p.members[fam] = allMembers[fam]
+		if p.members[fam] != nil {
 			retrain = append(retrain, fam)
 		}
 	}
@@ -194,4 +157,46 @@ func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
 	p.rules = rules
 	p.indexPartners()
 	return p, stats, nil
+}
+
+// extendIndex returns a predictor without rules holding old's member
+// index extended with the cube's entities in [from, to), and the
+// families those entities joined. Filled page→family entries never change
+// (page titles are immutable in the cube), so old's are copied as they
+// are. Old's member slices are capped at their length, so a new entity's
+// append copies before it writes and old — still serving — is never
+// mutated. The kept families are every family with at least minMembers
+// members: old's, plus those a new member lifted over the bar.
+func extendIndex(old *Predictor, cube *changecube.Cube, from, to, minMembers int) (*Predictor, map[string]bool) {
+	p := &Predictor{
+		partners:   make(map[familyProperty][]changecube.PropertyID, len(old.partners)),
+		members:    make(map[string][]changecube.EntityID, len(old.members)),
+		allMembers: make(map[string][]changecube.EntityID, len(old.allMembers)),
+		familyOf:   make([]string, cube.Pages.Len()),
+	}
+	copy(p.familyOf, old.familyOf)
+	for fam, m := range old.allMembers {
+		p.allMembers[fam] = m[:len(m):len(m)]
+	}
+	joined := make(map[string]bool)
+	for e := from; e < to; e++ {
+		id := changecube.EntityID(e)
+		page := cube.Page(id)
+		fam := p.familyOf[page]
+		if fam == "" {
+			fam = pagefamily.Normalize(cube.Pages.Name(int32(page)))
+			p.familyOf[page] = fam
+		}
+		p.allMembers[fam] = append(p.allMembers[fam], id)
+		joined[fam] = true
+	}
+	for fam := range old.members {
+		p.members[fam] = p.allMembers[fam]
+	}
+	for fam := range joined {
+		if len(p.allMembers[fam]) >= minMembers {
+			p.members[fam] = p.allMembers[fam]
+		}
+	}
+	return p, joined
 }

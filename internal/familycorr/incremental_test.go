@@ -221,7 +221,7 @@ func TestIncrementalFullFallbacks(t *testing.T) {
 		{name: "forced", span: span, cfg: cfg,
 			prev: Previous{Predictor: p1, Span: span, Entities: entities}, force: true, reason: "forced"},
 		{name: "from_rules", span: span, cfg: cfg,
-			prev: Previous{Predictor: FromRules(p1.Rules()), Span: span, Entities: entities}, reason: "cold"},
+			prev: Previous{Predictor: FromRules(p1.Rules()), Span: span, Entities: entities}},
 	} {
 		delta := changecube.Delta{Changed: dirty}
 		if tc.force {

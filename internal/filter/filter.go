@@ -120,6 +120,24 @@ func (c Counts) Stats() Stats {
 	return s
 }
 
+// CountsOf recovers the counts behind a funnel report built by
+// Counts.Stats, such as one persisted with an epoch. ok is false when s
+// is not shaped like one: other stages, or a stage whose input is not the
+// output of the one before.
+func CountsOf(s Stats) (c Counts, ok bool) {
+	if len(s.Stages) != len(stages) {
+		return Counts{}, false
+	}
+	n := [len(stages) + 1]int{s.Stages[0].In}
+	for i, st := range s.Stages {
+		if st.Name != stages[i].name || st.In != n[i] {
+			return Counts{}, false
+		}
+		n[i+1] = st.Out
+	}
+	return Counts{n[0], n[1], n[2], n[3], n[4]}, true
+}
+
 // Apply runs the pipeline over cube, which it sorts, and returns the
 // surviving day-level histories plus the funnel statistics: one
 // ResumeField walk per field through the cube's packed log, then the
@@ -131,9 +149,10 @@ func Apply(cube *changecube.Cube, cfg Config) (*changecube.HistorySet, Stats, er
 	}
 	var n Counts
 	var histories []changecube.History
-	for key, idx := range cube.FieldIndexes() {
+	fields, groups := cube.FieldIndexes()
+	for i, key := range fields {
 		var f FieldFunnel
-		ResumeField(&f, cube.FieldLog(idx), 0, cfg)
+		ResumeField(&f, cube.FieldLog(groups[i]), 0, cfg)
 		n.Add(f, cfg.MinChanges, 1)
 		if len(f.Days) >= cfg.MinChanges {
 			histories = append(histories, changecube.NewHistory(key, f.Days))

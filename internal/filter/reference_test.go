@@ -11,7 +11,11 @@ import (
 // each day's day and kind; the representative value (the mode of the
 // day's values) is read by no later stage.
 func applyReference(cube *changecube.Cube, cfg Config) (*changecube.HistorySet, Stats, error) {
-	fields := cube.FieldChanges()
+	fields := make(map[changecube.FieldKey][]changecube.Change)
+	for _, ch := range cube.Changes() {
+		k := changecube.FieldKey{Entity: ch.Entity, Property: ch.Property}
+		fields[k] = append(fields[k], ch)
+	}
 	total := cube.NumChanges()
 
 	afterBots := 0

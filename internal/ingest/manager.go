@@ -155,9 +155,10 @@ type Manager struct {
 	wg        sync.WaitGroup
 
 	// Incremental-retraining state, guarded by retrainMu: the last
-	// successfully trained detector (rule-reuse source; the retrain delta
-	// is derived from its histories) and the count of incremental
-	// retrains since the last full rebuild.
+	// successfully trained detector, or before the first retrain the
+	// epoch detector the staging was booted from (rule-reuse source; the
+	// retrain delta is derived from its histories), and the count of
+	// incremental retrains since the last full rebuild.
 	lastGood  *core.Detector
 	sinceFull int
 
@@ -185,7 +186,9 @@ type Manager struct {
 
 // NewManager wires a source and staging buffer to a swap callback. The
 // callback receives every freshly trained detector; it must be safe to
-// call from a background goroutine (staleserve's epoch swap is).
+// call from a background goroutine (staleserve's epoch swap is). A
+// staging built by NewStagingFromEpoch hands over its epoch's detector,
+// which the first retrain reuses as if it had trained it.
 func NewManager(src Source, st *Staging, swap func(*core.Detector), cfg Config) *Manager {
 	reg := obs.Default
 	reg.SetHelp("wikistale_ingest_events_total", "Change events consumed from the live feed.")
@@ -203,6 +206,7 @@ func NewManager(src Source, st *Staging, swap func(*core.Detector), cfg Config) 
 		st:             st,
 		cfg:            cfg,
 		swap:           swap,
+		lastGood:       st.takeSeed(),
 		drift:          NewDriftWatch(),
 		retrains:       ring.New[RetrainRecord](recentRetrainCap),
 		logger:         slog.Default(),

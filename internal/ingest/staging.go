@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/wikistale/wikistale/internal/changecube"
+	"github.com/wikistale/wikistale/internal/core"
 	"github.com/wikistale/wikistale/internal/filter"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
@@ -30,10 +31,22 @@ type pageTemplate struct {
 // log (4 bytes per change instead of a 40-byte struct plus value string),
 // which is only sound because the staging cube is never sorted —
 // append-order indexes stay stable for its whole life.
+//
+// A field staged from a persisted epoch starts lazy: of its funnel only
+// Days is set, to its persisted history's days if it cleared the
+// MinChanges gate, and Raw is -1; the rest is computed when a batch first
+// touches the field (or Stats needs its days). That walk keeps the Days
+// slice when it finds the same days, so until the field changes every
+// snapshot shares its day slice and ChangedSince between two of them
+// skips it without a scan. (A flag of its own would take the buffer from
+// 80 to 96 bytes with Go's size classes: a megabyte at bench scale.)
 type fieldBuf struct {
 	raw    []uint32
 	funnel filter.FieldFunnel
 }
+
+// lazy reports whether the field's funnel is still to be computed.
+func (b *fieldBuf) lazy() bool { return b.funnel.Raw < 0 }
 
 // Staging is the mutable ingestion buffer: a change cube that grows as
 // events arrive, with the §4 per-field noise stages (bot-revert removal,
@@ -62,6 +75,10 @@ type Staging struct {
 	counts   filter.Counts
 	eligible int // fields clearing MinChanges
 	appended uint64
+
+	// seed is the detector an epoch-booted staging was built from, until
+	// NewManager takes it as the first retrain's TrainHints.Prev.
+	seed *core.Detector
 
 	// cursor is the feed position after the newest applied batch (set by
 	// AppendAt); snapCP freezes cursor + entity ordinals at the moment of
@@ -101,6 +118,29 @@ func NewStagingFromCube(cube *changecube.Cube, cfg filter.Config) (*Staging, err
 // source cursor so a snapshot taken before any new batch arrives carries
 // the restored checkpoint forward.
 func NewStagingFromCubeAt(cube *changecube.Cube, cfg filter.Config, ordinals []int, pos SourcePosition) (*Staging, error) {
+	return newStagingAt(cube, cfg, ordinals, pos, nil)
+}
+
+// NewStagingFromEpoch is NewStagingFromCubeAt over the cube of det, a
+// detector booted from a persisted epoch, without re-running the §4 walk:
+// the epoch's funnel counts and histories are taken as they are, and a
+// field's funnel is computed when the first batch touches it, by the
+// from-empty walk over its list before the batch. The rebuild is
+// O(fields). The persisted state is checked first — the raw count must
+// equal the cube's changes, the histories' days must sum to the funnel's
+// output, and every history must belong to a staged field and clear
+// MinChanges — and when it does not add up, every field is walked up
+// front as NewStagingFromCubeAt does. Otherwise det also seeds the first
+// retrain: a Manager built over the staging trains it with det as
+// TrainHints.Prev, so every model stage reuses det's work.
+func NewStagingFromEpoch(det *core.Detector, cfg filter.Config, ordinals []int, pos SourcePosition) (*Staging, error) {
+	return newStagingAt(det.Histories().Cube(), cfg, ordinals, pos, det)
+}
+
+// newStagingAt builds a staging buffer over a clone of cube. With an
+// epoch detector whose persisted state checks out, fields start lazy;
+// otherwise every field's funnel is computed here.
+func newStagingAt(cube *changecube.Cube, cfg filter.Config, ordinals []int, pos SourcePosition, epoch *core.Detector) (*Staging, error) {
 	st, err := NewStaging(cfg)
 	if err != nil {
 		return nil, err
@@ -125,15 +165,59 @@ func NewStagingFromCubeAt(cube *changecube.Cube, cfg filter.Config, ordinals []i
 	}
 	// FieldIndexes is the staging cube's only sort ever: every index it
 	// returns stays valid afterwards.
-	for key, raw := range st.cube.FieldIndexes() {
-		buf := &fieldBuf{raw: raw}
-		st.fields[key] = buf
-		st.refilter(buf, 0)
+	fields, groups := st.cube.FieldIndexes()
+	bufs := make([]fieldBuf, len(fields))
+	st.fields = make(map[changecube.FieldKey]*fieldBuf, len(fields))
+	for i, key := range fields {
+		bufs[i].raw = groups[i]
+		st.fields[key] = &bufs[i]
+	}
+	if epoch == nil || !st.adoptEpoch(epoch, bufs) {
+		for i := range bufs {
+			st.refilter(&bufs[i], 0)
+		}
 	}
 	// The buffer's state corresponds to pos exactly, so that is its
 	// snapshot checkpoint until the first real snapshot supersedes it.
 	st.snapCP = Checkpoint{Pos: pos, Ordinals: st.ordinalsLocked()}
 	return st, nil
+}
+
+// adoptEpoch takes det's persisted funnel counts and histories as the
+// state of the staged fields, whose buffers are bufs, marking each lazy,
+// when they are consistent with the staged cube; it reports whether they
+// were.
+func (st *Staging) adoptEpoch(det *core.Detector, bufs []fieldBuf) bool {
+	counts, ok := filter.CountsOf(det.FilterStats())
+	if !ok || counts.Raw != st.cube.NumChanges() {
+		return false
+	}
+	hists := det.Histories().Histories()
+	owners := make([]*fieldBuf, len(hists))
+	days := 0
+	for i, h := range hists {
+		owners[i] = st.fields[h.Field]
+		if owners[i] == nil || h.Len() < st.cfg.MinChanges {
+			return false
+		}
+		days += h.Len()
+	}
+	if days != counts.AfterMinChanges {
+		return false
+	}
+	// Snapshot hands these out to training, which queries a day slice far
+	// faster than the packed form an epoch persists, so they are decoded
+	// once here. Capped, so a walk that appends days copies them first
+	// instead of writing into storage a slice-form history may share.
+	for i, h := range hists {
+		days := h.Days()
+		owners[i].funnel.Days = days[:len(days):len(days)]
+	}
+	for i := range bufs {
+		bufs[i].funnel.Raw = -1
+	}
+	st.counts, st.eligible, st.seed = counts, len(hists), det
+	return true
 }
 
 // Append stages a batch of events: names are interned, unseen infoboxes
@@ -231,6 +315,9 @@ func (st *Staging) stage(ev Event) (*fieldBuf, int) {
 		buf = &fieldBuf{}
 		st.fields[fk] = buf
 	}
+	if buf.lazy() {
+		st.materialize(buf) // over the list before this batch
+	}
 	// Insert preserving chronological order; equal timestamps keep arrival
 	// order, matching the cube's canonical stable sort within a field.
 	i := len(buf.raw)
@@ -261,6 +348,14 @@ func (st *Staging) refilter(buf *fieldBuf, from int) {
 	if newEligible {
 		st.eligible++
 	}
+}
+
+// materialize computes a lazy field's funnel: the from-empty walk over
+// its list, whose counts the aggregate already holds. That walk reads
+// nothing of the old funnel but Days, which it keeps when it finds the
+// same days. Caller holds the mutex.
+func (st *Staging) materialize(buf *fieldBuf) {
+	filter.ResumeField(&buf.funnel, st.cube.FieldLog(buf.raw), 0, st.cfg)
 }
 
 // Snapshot freezes the staging state: a deep clone of the cube plus the
@@ -294,6 +389,16 @@ func (st *Staging) Snapshot() (*changecube.HistorySet, filter.Stats, error) {
 	}
 	st.snapCP = Checkpoint{Pos: st.cursor, Ordinals: st.ordinalsLocked()}
 	return hs, stats, nil
+}
+
+// takeSeed returns the epoch detector the staging was built from, once,
+// and forgets it: the first retrain's TrainHints.Prev.
+func (st *Staging) takeSeed() *core.Detector {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	seed := st.seed
+	st.seed = nil
+	return seed
 }
 
 // ordinalsLocked reverses entIdx into a per-entity ordinal table. Caller
@@ -341,10 +446,17 @@ type StagingStats struct {
 
 // Stats returns the current staging summary. It walks every staged field
 // under the mutex to find the day span, so its cost grows with the corpus:
-// it is meant for status surfaces, never for per-batch bookkeeping.
+// it is meant for status surfaces, never for per-batch bookkeeping. The
+// span needs every field's days, so the first call computes the funnel
+// of every field still lazy.
 func (st *Staging) Stats() StagingStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	for _, buf := range st.fields {
+		if buf.lazy() {
+			st.materialize(buf)
+		}
+	}
 	s := StagingStats{
 		Events:          st.appended,
 		Changes:         st.cube.NumChanges(),

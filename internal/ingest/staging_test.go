@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/wikistale/wikistale/internal/changecube"
+	"github.com/wikistale/wikistale/internal/core"
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/filter"
 )
@@ -340,5 +341,83 @@ func TestStagingResumedFunnelsMatchApplyField(t *testing.T) {
 				t.Fatalf("field %v after %d changes:\nstaged %+v\nfresh  %+v", key, len(chs), buf.funnel, want)
 			}
 		}
+	}
+}
+
+// TestStagingFromEpochStartsLazy: staging built from an epoch detector
+// whose persisted funnel state checks out walks no field until a batch
+// touches it, and hands the detector to the first Manager built over it;
+// one whose counts do not add up is walked up front and seeds nothing.
+func TestStagingFromEpochStartsLazy(t *testing.T) {
+	cube := smallCube(t)
+	cfg := core.DefaultConfig()
+	warm, err := NewStagingFromCube(cube, cfg.Filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, stats, err := warm.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := core.TrainFiltered(hs, stats, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := NewStagingFromEpoch(det, cfg.Filter, nil, SourcePosition{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := func() int {
+		n := 0
+		for _, buf := range st.fields {
+			if buf.lazy() {
+				n++
+			}
+		}
+		return n
+	}
+	if lazy() != len(st.fields) || st.seed != det {
+		t.Fatalf("%d of %d fields lazy, seeded %v", lazy(), len(st.fields), st.seed != nil)
+	}
+	var key changecube.FieldKey
+	for key = range st.fields {
+		break
+	}
+	info := cube.Entity(key.Entity)
+	ev := Event{
+		Time:     cube.TimeAt(cube.NumChanges() - 1),
+		Page:     cube.Pages.Name(int32(info.Page)),
+		Template: cube.Templates.Name(int32(info.Template)),
+		Infobox:  warm.SnapshotCheckpoint().Ordinals[key.Entity],
+		Property: cube.Properties.Name(int32(key.Property)),
+		Value:    "touched",
+	}
+	if _, err := st.Append([]Event{ev}); err != nil {
+		t.Fatal(err)
+	}
+	if lazy() != len(st.fields)-1 || st.fields[key].lazy() {
+		t.Fatalf("after one touched field: %d of %d lazy, touched one lazy %v", lazy(), len(st.fields), st.fields[key].lazy())
+	}
+	if m := NewManager(nil, st, nil, Config{Train: cfg}); m.lastGood != det || st.seed != nil {
+		t.Fatal("the manager did not take the epoch detector as its previous training")
+	}
+
+	model, err := det.MarshalModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filter.Stats{Stages: slices.Clone(stats.Stages)}
+	bad.Stages[3].Out++
+	tampered, err := core.LoadModelBytes(hs, bad, cfg, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err = NewStagingFromEpoch(tampered, cfg.Filter, nil, SourcePosition{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazy() != 0 || st.seed != nil {
+		t.Fatalf("tampered epoch: %d fields lazy, seeded %v", lazy(), st.seed != nil)
 	}
 }

@@ -172,7 +172,11 @@ func runScale(b *testing.B, scale int) {
 	for i := range legacyChanges {
 		legacyChanges[i].Value = strings.Clone(legacyChanges[i].Value)
 	}
-	legacyIndex := cube.FieldChanges()
+	legacyIndex := make(map[changecube.FieldKey][]changecube.Change)
+	for _, ch := range legacyChanges {
+		k := changecube.FieldKey{Entity: ch.Entity, Property: ch.Property}
+		legacyIndex[k] = append(legacyIndex[k], ch)
+	}
 	legacyDays := make([][]timeline.Day, hs.Len())
 	for i, h := range hs.Histories() {
 		legacyDays[i] = append([]timeline.Day(nil), h.Days()...)
