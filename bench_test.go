@@ -226,13 +226,29 @@ func BenchmarkMineApriori(b *testing.B) {
 }
 
 // BenchmarkDetectStale measures the deployment operation: one full scan
-// for stale fields over a weekly window.
+// for stale fields over a weekly window, over the trained detector's
+// slice-form histories and over the same histories packed, as a server
+// booted from the epoch store holds them until its first retrain.
 func BenchmarkDetectStale(b *testing.B) {
 	c := corpus(b)
 	asOf := c.Filtered.Span().End
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Detector.DetectStale(asOf, 7)
+	model, err := c.Detector.MarshalModel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	packed, err := core.LoadModelBytes(c.Detector.Histories().Pack(), c.Detector.FilterStats(), c.CoreCfg, model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		det  *core.Detector
+	}{{"slice", c.Detector}, {"packed", packed}} {
+		b.Run(mode.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				mode.det.DetectStale(asOf, 7)
+			}
+		})
 	}
 }
 
@@ -440,12 +456,16 @@ func BenchmarkIngestDailyBatch(b *testing.B) {
 	b.ReportMetric(float64(len(batch)), "batch-changes")
 }
 
-// BenchmarkLiveRetrain measures the live path's retrain-to-swap latency
-// after a small daily delta: the full TrainFiltered pipeline over a warm
-// staging snapshot, comparing a forced full rebuild against the
+// BenchmarkLiveRetrain measures the live path's retrain-to-swap latency:
+// the full TrainFiltered pipeline over a warm staging snapshot. After a
+// small daily delta it compares a forced full rebuild against the
 // incremental path, which derives the delta from the previous detector's
-// histories and reuses every stage's work outside it. Both produce
+// histories and reuses every stage's work outside it; both produce
 // bit-identical detectors (see TestIncrementalRetrainEquivalence).
+// span_moved is a restart's first retrain: the previous detector was
+// trained a week behind the feed and reloaded from its model bytes over
+// packed histories, as the epoch store boots it, and the week of backlog
+// moves every stage's span, so the threshold baseline rebuilds ("span").
 func BenchmarkLiveRetrain(b *testing.B) {
 	c := corpus(b)
 	st, err := ingest.NewStagingFromCube(c.Cube, c.CoreCfg.Filter)
@@ -486,27 +506,91 @@ func BenchmarkLiveRetrain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dirty := hs.ChangedSince(hs0)
+	lagged, seed, err := laggedSeed(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	moved, movedStats, err := lagged.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, mode := range []struct {
 		name      string
+		hs        *changecube.HistorySet
+		stats     filter.Stats
+		prev      *core.Detector
 		forceFull bool
-	}{{"full", true}, {"incremental", false}} {
+	}{
+		{"full", hs, stats, prev, true},
+		{"incremental", hs, stats, prev, false},
+		{"span_moved", moved, movedStats, seed, false},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
-			var reused int
+			dirty := len(mode.hs.ChangedSince(mode.prev.Histories()))
+			b.ResetTimer()
+			var det *core.Detector
 			for i := 0; i < b.N; i++ {
-				det, err := core.TrainFilteredHintedCtx(context.Background(), hs, stats, c.CoreCfg, core.TrainHints{
-					Prev:      prev,
+				var err error
+				det, err = core.TrainFilteredHintedCtx(context.Background(), mode.hs, mode.stats, c.CoreCfg, core.TrainHints{
+					Prev:      mode.prev,
 					ForceFull: mode.forceFull,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				reused = det.CorrelationRetrain().PagesReused
 			}
-			b.ReportMetric(float64(reused), "pages-reused")
-			b.ReportMetric(float64(len(dirty)), "dirty-fields")
+			if mode.name == "span_moved" && det.ThresholdRetrain().FullReason != "span" {
+				b.Fatalf("threshold stage rebuilt for %q, want %q", det.ThresholdRetrain().FullReason, "span")
+			}
+			b.ReportMetric(float64(det.CorrelationRetrain().PagesReused), "pages-reused")
+			b.ReportMetric(float64(dirty), "dirty-fields")
 		})
 	}
+}
+
+// laggedSeed replays the bench corpus into a staging up to a week before
+// its end and trains there; the detector is then reloaded from its model
+// bytes over the packed histories, and the last week is staged. It returns
+// the staging and the reloaded detector.
+func laggedSeed(c *experiments.Corpus) (*ingest.Staging, *core.Detector, error) {
+	ctx := context.Background()
+	st, err := ingest.NewStaging(c.CoreCfg.Filter)
+	if err != nil {
+		return nil, nil, err
+	}
+	src := ingest.NewStream(c.Cube)
+	replay := func(until int) error {
+		for src.Remaining() > until {
+			events, err := src.Next(ctx)
+			if err != nil {
+				return err
+			}
+			if _, err := st.Append(events); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := replay(7); err != nil {
+		return nil, nil, err
+	}
+	hs, stats, err := st.Snapshot()
+	if err != nil {
+		return nil, nil, err
+	}
+	trained, err := core.TrainFiltered(hs, stats, c.CoreCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	model, err := trained.MarshalModel()
+	if err != nil {
+		return nil, nil, err
+	}
+	seed, err := core.LoadModelBytes(hs.Pack(), stats, c.CoreCfg, model)
+	if err != nil {
+		return nil, nil, err
+	}
+	return st, seed, replay(0)
 }
 
 // BenchmarkCubeBinaryRoundTrip measures the single-file serialization used

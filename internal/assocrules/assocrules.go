@@ -8,7 +8,10 @@
 package assocrules
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/wikistale/wikistale/internal/apriori"
@@ -183,14 +186,13 @@ func Train(hs *changecube.HistorySet, span timeline.Span, cfg Config) (*Predicto
 	if err != nil {
 		return nil, err
 	}
-	return trainTagged(pre.tagged, span, cfg)
+	return trainTagged(context.Background(), pre.tagged, span, cfg)
 }
 
 // Prepared caches the grouped (infobox, week) transactions of one
-// (corpus, span, period) combination. Grouping is the most expensive part
-// of training and depends on none of the mining parameters, so a grid
-// search over support/confidence/holdout shares one Prepared across all
-// its points. The cached transactions are read-only after Prepare;
+// (corpus, span, period) combination. Grouping depends on none of the
+// mining parameters, so a grid search over support/confidence/holdout
+// shares one Prepared across all its points. The cached transactions are read-only after Prepare;
 // concurrent TrainPrepared calls are safe.
 type Prepared struct {
 	span       timeline.Span
@@ -224,13 +226,14 @@ func TrainPrepared(pre *Prepared, cfg Config) (*Predictor, error) {
 		return nil, fmt.Errorf("assocrules: prepared with PeriodDays=%d, config asks for %d",
 			pre.periodDays, cfg.PeriodDays)
 	}
-	return trainTagged(pre.tagged, pre.span, cfg)
+	return trainTagged(context.Background(), pre.tagged, pre.span, cfg)
 }
 
-// trainTagged is the shared mining+validation pipeline behind Train and
-// TrainPrepared. It never mutates tagged.
-func trainTagged(tagged map[changecube.TemplateID][]taggedTxn, span timeline.Span, cfg Config) (*Predictor, error) {
-	tspan := obs.StartSpan("train/assoc_holdout")
+// trainTagged is the shared mining+validation pipeline behind Train,
+// TrainPrepared and TrainIncremental; its stage timers are children of
+// ctx's trace. It never mutates tagged.
+func trainTagged(ctx context.Context, tagged map[changecube.TemplateID][]taggedTxn, span timeline.Span, cfg Config) (*Predictor, error) {
+	_, tspan := obs.StartSpanCtx(ctx, "train/assoc_holdout")
 	mining, validation := splitHoldout(tagged, span, cfg)
 	tspan.End()
 
@@ -245,7 +248,7 @@ func trainTagged(tagged map[changecube.TemplateID][]taggedTxn, span timeline.Spa
 		total += len(plain)
 	}
 
-	tspan = obs.StartSpan("train/assoc_mine")
+	_, tspan = obs.StartSpanCtx(ctx, "train/assoc_mine")
 	var candidates []Rule
 	for template, ts := range txns {
 		minSup := cfg.MinSupport
@@ -288,7 +291,7 @@ func trainTagged(tagged map[changecube.TemplateID][]taggedTxn, span timeline.Spa
 
 	tspan.End()
 
-	tspan = obs.StartSpan("train/assoc_validate")
+	_, tspan = obs.StartSpanCtx(ctx, "train/assoc_validate")
 	defer tspan.End()
 	return buildPredictor(validateRules(candidates, validation, cfg)), nil
 }
@@ -340,44 +343,76 @@ func buildTagged(hs *changecube.HistorySet, span timeline.Span, periodDays int) 
 // buildTaggedFiltered is buildTagged restricted to the templates keep
 // accepts (nil keeps all) — the incremental path's way of grouping only
 // the dirty templates' transactions.
+//
+// hs.Histories() is in (entity, property) order, so the walk takes one
+// entity's fields at a time. Each field adds one (week, property) key per
+// week it changed in, and a counting sort of the entity's keys by week
+// cuts them into its transactions: the sort is stable and the keys arrive
+// in property order, so every transaction's items come out strictly
+// increasing. Entities come in ascending order, so every template's
+// transactions come out in (entity, week) order with no map or sort
+// across entities. Each entity's items share one arena.
 func buildTaggedFiltered(hs *changecube.HistorySet, span timeline.Span, periodDays int, keep func(changecube.TemplateID) bool) map[changecube.TemplateID][]taggedTxn {
-	type entityWeek struct {
-		entity changecube.EntityID
-		week   int
-	}
 	cube := hs.Cube()
-	sets := make(map[entityWeek][]apriori.Item)
 	nWeeks := span.Len() / periodDays
-	for _, h := range hs.Histories() {
-		if keep != nil && !keep(cube.Template(h.Field.Entity)) {
+	out := make(map[changecube.TemplateID][]taggedTxn)
+	histories := hs.Histories()
+	var keys []uint64
+	var off []int
+	for i, j := 0, 0; i < len(histories); i = j {
+		entity := histories[i].Field.Entity
+		for j = i + 1; j < len(histories) && histories[j].Field.Entity == entity; j++ {
+		}
+		template := cube.Template(entity)
+		if keep != nil && !keep(template) {
 			continue
 		}
-		for _, day := range h.In(span) {
-			week := int(day-span.Start) / periodDays
-			if week >= nWeeks && nWeeks > 0 {
-				continue
+		keys = keys[:0]
+		minW, maxW := math.MaxInt, -1
+		for _, h := range histories[i:j] {
+			last := -1
+			for _, day := range h.In(span) {
+				week := int(day-span.Start) / periodDays
+				if week >= nWeeks && nWeeks > 0 {
+					break
+				}
+				if week != last {
+					keys = append(keys, uint64(week)<<32|uint64(uint32(h.Field.Property)))
+					last = week
+					minW, maxW = min(minW, week), max(maxW, week)
+				}
 			}
-			key := entityWeek{entity: h.Field.Entity, week: week}
-			sets[key] = append(sets[key], apriori.Item(h.Field.Property))
 		}
-	}
-	out := make(map[changecube.TemplateID][]taggedTxn)
-	for key, items := range sets {
-		t := cube.Template(key.entity)
-		out[t] = append(out[t], taggedTxn{
-			entity: key.entity,
-			week:   key.week,
-			items:  apriori.NormalizeTransaction(items),
-		})
-	}
-	// Deterministic order within each template.
-	for _, ts := range out {
-		sort.Slice(ts, func(i, j int) bool {
-			if ts[i].entity != ts[j].entity {
-				return ts[i].entity < ts[j].entity
+		if len(keys) == 0 {
+			continue
+		}
+		// After the prefix sum off[w] is the first slot of week minW+w;
+		// placing the keys advances it to the slot after the week's last
+		// item, where the next week starts.
+		n := maxW - minW + 1
+		off = slices.Grow(off[:0], n+1)[:n+1]
+		clear(off)
+		for _, key := range keys {
+			off[int(key>>32)-minW+1]++
+		}
+		for w := 1; w <= n; w++ {
+			off[w] += off[w-1]
+		}
+		items := make(apriori.Transaction, len(keys))
+		for _, key := range keys {
+			w := int(key>>32) - minW
+			items[off[w]] = apriori.Item(uint32(key))
+			off[w]++
+		}
+		txns := out[template]
+		lo := 0
+		for w := 0; w < n; w++ {
+			if hi := off[w]; hi > lo {
+				txns = append(txns, taggedTxn{entity: entity, week: minW + w, items: items[lo:hi:hi]})
+				lo = hi
 			}
-			return ts[i].week < ts[j].week
-		})
+		}
+		out[template] = txns
 	}
 	return out
 }
@@ -432,15 +467,6 @@ func holdoutHash(entity changecube.EntityID, week int) float64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return float64(x>>11) / float64(1<<53)
-}
-
-func txnLess(a, b apriori.Transaction) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // validateRules measures each candidate's prediction precision on the

@@ -11,7 +11,10 @@ package assocrules
 // templates are re-grouped, re-mined, and re-validated.
 
 import (
+	"context"
+
 	"github.com/wikistale/wikistale/internal/changecube"
+	"github.com/wikistale/wikistale/internal/obs"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
 
@@ -43,7 +46,8 @@ type IncrementalStats struct {
 // changed since prev, which must come from the same configuration (reuse
 // across configs is unsound and not detected); changecube.Cold with a zero
 // prev is a cold build. The result is bit-identical to Train over the same
-// inputs.
+// inputs. Its grouping, holdout, mining and validation timers
+// (train/assoc_*) are children of ctx's trace.
 //
 // A template is retrained when changecube.DirtyUnits marks it: it holds a
 // changed field, or a field whose effective transaction days (in-span days
@@ -51,7 +55,7 @@ type IncrementalStats struct {
 // anchored at span.Start, so a moved anchor re-buckets everything and
 // forces a full rebuild, as do the two couplings that break template
 // locality: global support scope, and the tail holdout under a moved span.
-func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
+func TrainIncremental(ctx context.Context, hs *changecube.HistorySet, span timeline.Span, cfg Config,
 	prev Previous, delta changecube.Delta) (*Predictor, IncrementalStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, IncrementalStats{}, err
@@ -88,7 +92,10 @@ func TrainIncremental(hs *changecube.HistorySet, span timeline.Span, cfg Config,
 
 	// Re-mine the dirty templates only: group, mine, and validate over the
 	// subset, then graft the clean templates' previous rules back in.
-	fresh, err := trainTagged(buildTaggedFiltered(hs, span, cfg.PeriodDays, dirty.Has), span, cfg)
+	_, tspan := obs.StartSpanCtx(ctx, "train/assoc_transactions")
+	tagged := buildTaggedFiltered(hs, span, cfg.PeriodDays, dirty.Has)
+	tspan.End()
+	fresh, err := trainTagged(ctx, tagged, span, cfg)
 	if err != nil {
 		return nil, IncrementalStats{}, err
 	}

@@ -1,6 +1,7 @@
 package assocrules
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -90,7 +91,7 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 	hs := randomTemplateSet(t, rng, 5, 4, 4, 90)
 	span := timeline.NewSpan(0, 70)
 
-	prevP, stats, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
+	prevP, stats, err := TrainIncremental(context.Background(), hs, span, cfg, Previous{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestIncrementalMatchesColdRetrain(t *testing.T) {
 		if step%3 == 2 {
 			span = timeline.NewSpan(span.Start, span.End+4) // live span advance
 		}
-		inc, stats, err := TrainIncremental(hs, span, cfg, prev, changecube.Delta{Changed: dirty})
+		inc, stats, err := TrainIncremental(context.Background(), hs, span, cfg, prev, changecube.Delta{Changed: dirty})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestIncrementalFullFallbacks(t *testing.T) {
 	cfg := lenientConfig()
 	hs := randomTemplateSet(t, rng, 4, 4, 4, 90)
 	span := timeline.NewSpan(7, 70)
-	p1, _, err := TrainIncremental(hs, span, cfg, Previous{}, changecube.Cold)
+	p1, _, err := TrainIncremental(context.Background(), hs, span, cfg, Previous{}, changecube.Cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestIncrementalFullFallbacks(t *testing.T) {
 		if tc.force {
 			delta = changecube.Delta{Full: "forced"}
 		}
-		inc, stats, err := TrainIncremental(next, tc.span, c, prev, delta)
+		inc, stats, err := TrainIncremental(context.Background(), next, tc.span, c, prev, delta)
 		if err != nil {
 			t.Fatal(err)
 		}

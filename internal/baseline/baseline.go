@@ -113,7 +113,7 @@ var (
 	_ predict.BatchPredictor = (*Threshold)(nil)
 )
 
-// TrainThreshold scans the validation span once per window size. The paper
+// TrainThreshold scores every field on its validation-span days. The paper
 // uses fraction = 0.85 (the precision target) and the 365-day validation
 // set; e.g. a field changing in at least 45 of the 52 seven-day validation
 // windows is predicted for every 7-day test window.

@@ -6,7 +6,8 @@ package baseline
 // dirty fields can move in or out of a set. TrainThresholdIncremental
 // copies the previous sets and re-scores the fields
 // changecube.DirtyUnits marks. A moved validation span re-aligns every
-// tumbling window, so it rebuilds every field.
+// tumbling window, so it rebuilds every field; a rebuild costs one walk
+// of each field's in-span days, so that fallback stays cheap.
 
 import (
 	"fmt"
@@ -36,12 +37,19 @@ type ThresholdIncrementalStats struct {
 
 // TrainThresholdIncremental is TrainThreshold with per-field reuse. delta
 // is what changed since prev, which must come from the same sizes and
-// fraction; changecube.Cold with a zero prev is a cold build. The result
-// is bit-identical to TrainThreshold over the same inputs.
+// fraction; changecube.Cold with a zero prev is a cold build, and any
+// other build is bit-identical to it over the same inputs. Each re-scored
+// field's days inside valSpan are read once and scored for every size in
+// that one walk.
 func TrainThresholdIncremental(hs *changecube.HistorySet, valSpan timeline.Span, sizes []int, fraction float64,
 	prev ThresholdPrevious, delta changecube.Delta) (*Threshold, ThresholdIncrementalStats, error) {
 	if fraction <= 0 || fraction > 1 {
 		return nil, ThresholdIncrementalStats{}, fmt.Errorf("baseline: fraction %v out of (0,1]", fraction)
+	}
+	for _, size := range sizes {
+		if size < 1 {
+			return nil, ThresholdIncrementalStats{}, fmt.Errorf("baseline: window size %d < 1", size)
+		}
 	}
 	if valSpan != prev.ValSpan {
 		delta = delta.Rebuild("span")
@@ -52,36 +60,55 @@ func TrainThresholdIncremental(hs *changecube.HistorySet, valSpan timeline.Span,
 		fraction: fraction,
 		always:   make(map[int]map[changecube.FieldKey]bool, len(sizes)),
 	}
-	for _, size := range sizes {
+	// Per size: n whole tumbling windows and the hit count a field needs.
+	// Days of the trailing partial window fall outside every window.
+	n := make([]int, len(sizes))
+	need := make([]int, len(sizes))
+	sets := make([]map[changecube.FieldKey]bool, len(sizes))
+	for i, size := range sizes {
 		var prevSet map[changecube.FieldKey]bool
 		if dirty.Full == "" {
 			prevSet = prev.Predictor.always[size]
 		}
-		set := make(map[changecube.FieldKey]bool, len(prevSet))
+		sets[i] = make(map[changecube.FieldKey]bool, len(prevSet))
 		for f := range prevSet {
 			if !dirty.Units[f] {
-				set[f] = true
+				sets[i][f] = true
 			}
 		}
-		windows := timeline.Tumbling(valSpan, size)
-		need := int(math.Ceil(fraction * float64(len(windows))))
-		if need < 1 {
-			need = 1
+		n[i] = valSpan.Len() / size
+		need[i] = int(math.Ceil(fraction * float64(n[i])))
+		if need[i] < 1 {
+			need[i] = 1
 		}
-		if len(windows) > 0 {
-			for _, h := range recompute {
-				changed := 0
-				for _, w := range windows {
-					if h.ChangedIn(w.Span) {
-						changed++
-					}
-				}
-				if changed >= need {
-					set[h.Field] = true
-				}
+	}
+	for _, h := range recompute {
+		days := h.In(valSpan)
+		for i, size := range sizes {
+			if n[i] > 0 && windowsHit(days, valSpan.Start, size, n[i]) >= need[i] {
+				sets[i][h.Field] = true
 			}
 		}
-		t.always[size] = set
+	}
+	for i, size := range sizes {
+		t.always[size] = sets[i]
 	}
 	return t, ThresholdIncrementalStats{Full: dirty.Full != "", FullReason: dirty.Full, FieldsRecomputed: len(recompute)}, nil
+}
+
+// windowsHit counts the tumbling windows of size days anchored at start,
+// among the first n, that hold at least one of days (sorted, all at or
+// after start): one walk, each change of window index is a new window.
+func windowsHit(days []timeline.Day, start timeline.Day, size, n int) int {
+	hit, last := 0, -1
+	for _, d := range days {
+		w := int(d-start) / size
+		if w >= n {
+			break
+		}
+		if w != last {
+			hit, last = hit+1, w
+		}
+	}
+	return hit
 }

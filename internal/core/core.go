@@ -265,9 +265,9 @@ func TrainFilteredHintedCtx(ctx context.Context, hs *changecube.HistorySet, stat
 	}
 	d.report.add("train/correlation", span.End())
 
-	_, span = obs.StartSpanCtx(ctx, "train/assocrules")
+	sctx, span := obs.StartSpanCtx(ctx, "train/assocrules")
 	d.assocRules, d.assocInc, err = assocrules.TrainIncremental(
-		hs, splits.TrainVal, cfg.AssocRules, prevAssoc, delta)
+		sctx, hs, splits.TrainVal, cfg.AssocRules, prevAssoc, delta)
 	if err != nil {
 		return nil, fmt.Errorf("core: association rules: %w", err)
 	}

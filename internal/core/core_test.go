@@ -9,6 +9,7 @@ import (
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/eval"
 	"github.com/wikistale/wikistale/internal/obs"
+	"github.com/wikistale/wikistale/internal/obs/trace"
 	"github.com/wikistale/wikistale/internal/predict"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
@@ -36,6 +37,37 @@ func detector(t *testing.T) (*Detector, *dataset.Truth) {
 	trained.det = det
 	trained.truth = truth
 	return det, truth
+}
+
+// TestTracedTrainNestsAssocStages: in a traced training the association
+// rules' grouping, holdout, mining and validation timers are children of
+// train/assocrules, as the live path's retrains record them.
+func TestTracedTrainNestsAssocStages(t *testing.T) {
+	det, _ := detector(t)
+	rec := trace.New(1)
+	ctx, root := trace.StartIn(rec, context.Background(), "retrain")
+	if _, err := TrainFilteredHintedCtx(ctx, det.Histories(), det.FilterStats(), det.cfg, TrainHints{}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	spans := rec.Newest()[0].Spans
+	parent := ""
+	for _, s := range spans {
+		if s.Name == "train/assocrules" {
+			parent = s.SpanID
+		}
+	}
+	for _, stage := range []string{"train/assoc_transactions", "train/assoc_holdout", "train/assoc_mine", "train/assoc_validate"} {
+		n := 0
+		for _, s := range spans {
+			if s.Name == stage && s.ParentID == parent {
+				n++
+			}
+		}
+		if parent == "" || n != 1 {
+			t.Errorf("%d %s spans under train/assocrules (span %q), want 1", n, stage, parent)
+		}
+	}
 }
 
 func TestComputeSplits(t *testing.T) {

@@ -91,6 +91,7 @@ func TestMetricsExposesTrainStages(t *testing.T) {
 	for _, stage := range []string{
 		"train/filter", "train/correlation", "train/assocrules", "train/seasonal",
 		"train/familycorr", "train/threshold", "train/ensembles", "train/evidence",
+		"train/assoc_transactions", "train/assoc_holdout", "train/assoc_mine", "train/assoc_validate",
 	} {
 		v := metricValue(text, "wikistale_train_stage_seconds_count", fmt.Sprintf(`stage="%s"`, stage))
 		if v < 1 {
