@@ -226,29 +226,13 @@ func BenchmarkMineApriori(b *testing.B) {
 }
 
 // BenchmarkDetectStale measures the deployment operation: one full scan
-// for stale fields over a weekly window, over the trained detector's
-// slice-form histories and over the same histories packed, as a server
-// booted from the epoch store holds them until its first retrain.
+// for stale fields over a weekly window.
 func BenchmarkDetectStale(b *testing.B) {
 	c := corpus(b)
 	asOf := c.Filtered.Span().End
-	model, err := c.Detector.MarshalModel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	packed, err := core.LoadModelBytes(c.Detector.Histories().Pack(), c.Detector.FilterStats(), c.CoreCfg, model)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		det  *core.Detector
-	}{{"slice", c.Detector}, {"packed", packed}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mode.det.DetectStale(asOf, 7)
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Detector.DetectStale(asOf, 7)
 	}
 }
 
@@ -463,9 +447,9 @@ func BenchmarkIngestDailyBatch(b *testing.B) {
 // histories and reuses every stage's work outside it; both produce
 // bit-identical detectors (see TestIncrementalRetrainEquivalence).
 // span_moved is a restart's first retrain: the previous detector was
-// trained a week behind the feed and reloaded from its model bytes over
-// packed histories, as the epoch store boots it, and the week of backlog
-// moves every stage's span, so the threshold baseline rebuilds ("span").
+// trained a week behind the feed and reloaded from its model bytes, as the
+// epoch store boots it, and the week of backlog moves every stage's span,
+// so the threshold baseline rebuilds ("span").
 func BenchmarkLiveRetrain(b *testing.B) {
 	c := corpus(b)
 	st, err := ingest.NewStagingFromCube(c.Cube, c.CoreCfg.Filter)
@@ -550,8 +534,8 @@ func BenchmarkLiveRetrain(b *testing.B) {
 
 // laggedSeed replays the bench corpus into a staging up to a week before
 // its end and trains there; the detector is then reloaded from its model
-// bytes over the packed histories, and the last week is staged. It returns
-// the staging and the reloaded detector.
+// bytes, and the last week is staged. It returns the staging and the
+// reloaded detector.
 func laggedSeed(c *experiments.Corpus) (*ingest.Staging, *core.Detector, error) {
 	ctx := context.Background()
 	st, err := ingest.NewStaging(c.CoreCfg.Filter)
@@ -586,7 +570,7 @@ func laggedSeed(c *experiments.Corpus) (*ingest.Staging, *core.Detector, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	seed, err := core.LoadModelBytes(hs.Pack(), stats, c.CoreCfg, model)
+	seed, err := core.LoadModelBytes(hs, stats, c.CoreCfg, model)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -112,9 +112,9 @@ func groupingCase(t *testing.T, rng *rand.Rand, periodDays int) (*changecube.His
 }
 
 // TestBuildTaggedMatchesReference: the per-entity sort-and-cut grouping
-// yields the map-based reference's transactions, over slice-form and
-// packed histories and under keep filters, with items strictly increasing
-// and each template's transactions in (entity, week) order.
+// yields the map-based reference's transactions, under keep filters, with
+// items strictly increasing and each template's transactions in
+// (entity, week) order.
 func TestBuildTaggedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	txns := 0
@@ -127,23 +127,20 @@ func TestBuildTaggedMatchesReference(t *testing.T) {
 			keep = func(t changecube.TemplateID) bool { return t != drop }
 		}
 		want := buildTaggedReference(hs, span, periodDays, keep)
-		for _, set := range []*changecube.HistorySet{hs, hs.Pack()} {
-			got := buildTaggedFiltered(set, span, periodDays, keep)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("case %d (span %v, period %d, packed %v):\n got %v\nwant %v",
-					c, span, periodDays, set.Histories()[0].IsPacked(), got, want)
-			}
-			for template, ts := range got {
-				for i, txn := range ts {
-					for k := 1; k < len(txn.items); k++ {
-						if txn.items[k-1] >= txn.items[k] {
-							t.Fatalf("case %d template %d: items %v not strictly increasing", c, template, txn.items)
-						}
+		got := buildTaggedFiltered(hs, span, periodDays, keep)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d (span %v, period %d):\n got %v\nwant %v", c, span, periodDays, got, want)
+		}
+		for template, ts := range got {
+			for i, txn := range ts {
+				for k := 1; k < len(txn.items); k++ {
+					if txn.items[k-1] >= txn.items[k] {
+						t.Fatalf("case %d template %d: items %v not strictly increasing", c, template, txn.items)
 					}
-					if i > 0 && (ts[i-1].entity > txn.entity || ts[i-1].entity == txn.entity && ts[i-1].week >= txn.week) {
-						t.Fatalf("case %d template %d: transaction %d (%d, %d) after (%d, %d)",
-							c, template, i, txn.entity, txn.week, ts[i-1].entity, ts[i-1].week)
-					}
+				}
+				if i > 0 && (ts[i-1].entity > txn.entity || ts[i-1].entity == txn.entity && ts[i-1].week >= txn.week) {
+					t.Fatalf("case %d template %d: transaction %d (%d, %d) after (%d, %d)",
+						c, template, i, txn.entity, txn.week, ts[i-1].entity, ts[i-1].week)
 				}
 			}
 		}

@@ -93,9 +93,8 @@ func referenceCase(t *testing.T, rng *rand.Rand) (*changecube.HistorySet, timeli
 }
 
 // TestThresholdMatchesReference: the one-walk-per-field scoring yields the
-// window-by-window reference's sets for every size, over slice-form and
-// packed histories, including fractions that hit a window count exactly
-// and sizes longer than the span.
+// window-by-window reference's sets for every size, including fractions
+// that hit a window count exactly and sizes longer than the span.
 func TestThresholdMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	nonEmpty := 0
@@ -106,15 +105,13 @@ func TestThresholdMatchesReference(t *testing.T) {
 			fraction = float64(1+rng.Intn(n)) / float64(n) // fraction·n is an integer
 		}
 		want := thresholdReference(hs, valSpan, sizes, fraction)
-		for _, set := range []*changecube.HistorySet{hs, hs.Pack()} {
-			got, err := TrainThreshold(set, valSpan, sizes, fraction)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.always, want) {
-				t.Fatalf("case %d (span %v, sizes %v, fraction %v, packed %v):\n got %v\nwant %v",
-					c, valSpan, sizes, fraction, set.Histories()[0].IsPacked(), got.always, want)
-			}
+		got, err := TrainThreshold(hs, valSpan, sizes, fraction)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.always, want) {
+			t.Fatalf("case %d (span %v, sizes %v, fraction %v):\n got %v\nwant %v",
+				c, valSpan, sizes, fraction, got.always, want)
 		}
 		for _, s := range want {
 			if len(s) > 0 && len(s) < hs.Len() {

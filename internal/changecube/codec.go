@@ -172,9 +172,6 @@ func NewReader(data []byte) *Reader { return &Reader{data: data} }
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.data) - r.pos }
 
-// Rest returns the unread bytes without consuming them.
-func (r *Reader) Rest() []byte { return r.data[r.pos:] }
-
 // Byte reads one byte.
 func (r *Reader) Byte(what string) (byte, error) {
 	if r.pos >= len(r.data) {

@@ -1,8 +1,6 @@
 package changecube
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -14,24 +12,9 @@ import (
 // strictly increasing list of days on which the field's representative
 // change happened. This is the only view of the data the change predictors
 // consume — the paper's predictors disregard the value dimension entirely.
-//
-// A History holds its days in one of two representations: a plain
-// []timeline.Day slice (the form incremental filtering produces), or a
-// varint delta-packed byte string (first day as a signed varint, then
-// strictly positive day gaps as unsigned varints — the epoch store's wire
-// encoding, usable in place). The packed form costs ~1 byte per day
-// instead of 4 plus a slice header per field, which is what lets a
-// paper-scale corpus keep millions of field histories resident. Query
-// methods are representation-transparent; Days() materializes a slice on
-// demand from a packed history.
 type History struct {
 	Field FieldKey
-
-	days []timeline.Day // slice form; nil when packed or empty
-
-	packed      []byte // packed form; nil when slice form or empty
-	count       int
-	first, last timeline.Day // bounds of the packed form (count > 0)
+	days  []timeline.Day
 }
 
 // NewHistory wraps a strictly increasing day slice (not copied).
@@ -39,158 +22,15 @@ func NewHistory(field FieldKey, days []timeline.Day) History {
 	return History{Field: field, days: days}
 }
 
-// NewHistoryPacked wraps a varint delta-packed day string of count days,
-// validating it fully (strictly increasing, exactly count entries, no
-// trailing bytes). The bytes are used in place, not copied.
-func NewHistoryPacked(field FieldKey, packed []byte, count int) (History, error) {
-	h, consumed, err := ScanPackedDays(field, packed, count)
-	if err != nil {
-		return History{}, err
-	}
-	if consumed != len(packed) {
-		return History{}, fmt.Errorf("changecube: packed history %v: %d trailing bytes", field, len(packed)-consumed)
-	}
-	return h, nil
-}
-
-// ScanPackedDays reads exactly count packed days from the front of data,
-// returning the History (referencing data in place) and the number of
-// bytes consumed. Day gaps must be in [1, 1<<30] and days must not
-// overflow — the same bounds the epoch store's snapshot decoder enforces,
-// so corrupt on-disk payloads surface as errors, never panics.
-func ScanPackedDays(field FieldKey, data []byte, count int) (History, int, error) {
-	if count == 0 {
-		return History{Field: field}, 0, nil
-	}
-	pos := 0
-	var first, prev timeline.Day
-	for i := 0; i < count; i++ {
-		if i == 0 {
-			v, n := binary.Varint(data[pos:])
-			if n <= 0 {
-				return History{}, 0, fmt.Errorf("changecube: packed history %v: truncated first day", field)
-			}
-			pos += n
-			first = timeline.Day(v)
-			if int64(first) != v {
-				return History{}, 0, fmt.Errorf("changecube: packed history %v: first day %d out of range", field, v)
-			}
-			prev = first
-			continue
-		}
-		gap, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return History{}, 0, fmt.Errorf("changecube: packed history %v: truncated day gap %d", field, i)
-		}
-		pos += n
-		if gap == 0 || gap > 1<<30 {
-			return History{}, 0, fmt.Errorf("changecube: packed history %v: day gap %d", field, gap)
-		}
-		day := prev + timeline.Day(gap)
-		if day <= prev {
-			return History{}, 0, fmt.Errorf("changecube: packed history %v: days overflow", field)
-		}
-		prev = day
-	}
-	return History{Field: field, packed: data[:pos], count: count, first: first, last: prev}, pos, nil
-}
-
-// AppendPackedDays appends the history's days in the packed wire encoding
-// (first day signed varint, then unsigned varint gaps). The output is
-// byte-identical whichever representation the history holds.
-func (h History) AppendPackedDays(buf []byte) []byte {
-	if h.packed != nil {
-		return append(buf, h.packed...)
-	}
-	prev := timeline.Day(0)
-	for i, day := range h.days {
-		if i == 0 {
-			buf = binary.AppendVarint(buf, int64(day))
-		} else {
-			buf = binary.AppendUvarint(buf, uint64(day-prev))
-		}
-		prev = day
-	}
-	return buf
-}
-
-// Packed returns the history in packed representation (a no-op when
-// already packed). The day data is re-encoded into buf's free capacity;
-// passing a shared buffer lets a whole HistorySet pack into one arena.
-// The possibly-grown buffer is returned alongside.
-func (h History) Packed(buf []byte) (History, []byte) {
-	if h.packed != nil || len(h.days) == 0 {
-		return h, buf
-	}
-	start := len(buf)
-	buf = h.AppendPackedDays(buf)
-	return History{
-		Field:  h.Field,
-		packed: buf[start:len(buf):len(buf)],
-		count:  len(h.days),
-		first:  h.days[0],
-		last:   h.days[len(h.days)-1],
-	}, buf
-}
-
-// IsPacked reports whether the history holds the packed representation.
-func (h History) IsPacked() bool { return h.packed != nil }
-
-// eachDay visits the days in increasing order; returning false stops.
-func (h History) eachDay(fn func(timeline.Day) bool) {
-	if h.packed == nil {
-		for _, d := range h.days {
-			if !fn(d) {
-				return
-			}
-		}
-		return
-	}
-	pos := 0
-	v, n := binary.Varint(h.packed)
-	pos += n
-	day := timeline.Day(v)
-	if !fn(day) {
-		return
-	}
-	for i := 1; i < h.count; i++ {
-		gap, n := binary.Uvarint(h.packed[pos:])
-		pos += n
-		day += timeline.Day(gap)
-		if !fn(day) {
-			return
-		}
-	}
-}
-
-// Days returns the change days as a slice. For a slice-form history this
-// is the backing storage and must not be modified; for a packed history a
-// fresh slice is decoded on every call.
-func (h History) Days() []timeline.Day {
-	if h.packed == nil {
-		return h.days
-	}
-	out := make([]timeline.Day, 0, h.count)
-	h.eachDay(func(d timeline.Day) bool {
-		out = append(out, d)
-		return true
-	})
-	return out
-}
+// Days returns the change days. The slice is the history's storage and
+// must not be modified.
+func (h History) Days() []timeline.Day { return h.days }
 
 // Len returns the number of change days.
-func (h History) Len() int {
-	if h.packed == nil {
-		return len(h.days)
-	}
-	return h.count
-}
+func (h History) Len() int { return len(h.days) }
 
 // First returns the earliest change day (ok is false for an empty history).
 func (h History) First() (timeline.Day, bool) {
-	if h.packed != nil {
-		return h.first, true
-	}
 	if len(h.days) == 0 {
 		return 0, false
 	}
@@ -199,9 +39,6 @@ func (h History) First() (timeline.Day, bool) {
 
 // Last returns the most recent change day (ok is false when empty).
 func (h History) Last() (timeline.Day, bool) {
-	if h.packed != nil {
-		return h.last, true
-	}
 	if len(h.days) == 0 {
 		return 0, false
 	}
@@ -210,97 +47,33 @@ func (h History) Last() (timeline.Day, bool) {
 
 // CountIn returns the number of change days inside the half-open span.
 func (h History) CountIn(span timeline.Span) int {
-	if h.packed == nil {
-		lo := sort.Search(len(h.days), func(i int) bool { return h.days[i] >= span.Start })
-		hi := sort.Search(len(h.days), func(i int) bool { return h.days[i] >= span.End })
-		return hi - lo
-	}
-	if span.End <= h.first || span.Start > h.last {
-		return 0
-	}
-	n := 0
-	h.eachDay(func(d timeline.Day) bool {
-		if d >= span.End {
-			return false
-		}
-		if d >= span.Start {
-			n++
-		}
-		return true
-	})
-	return n
+	lo, hi := h.positions(span)
+	return hi - lo
 }
 
 // ChangedIn reports whether the field changed at least once inside span.
 func (h History) ChangedIn(span timeline.Span) bool {
-	if h.packed == nil {
-		lo := sort.Search(len(h.days), func(i int) bool { return h.days[i] >= span.Start })
-		return lo < len(h.days) && h.days[lo] < span.End
-	}
-	if span.End <= h.first || span.Start > h.last {
-		return false
-	}
-	hit := false
-	h.eachDay(func(d timeline.Day) bool {
-		if d >= span.End {
-			return false
-		}
-		if d >= span.Start {
-			hit = true
-			return false
-		}
-		return true
-	})
-	return hit
+	lo := h.search(span.Start)
+	return lo < len(h.days) && h.days[lo] < span.End
 }
 
-// Before returns the change days strictly before day. For a slice-form
-// history the result aliases the history's storage; for a packed one it is
-// decoded fresh.
+// Before returns the change days strictly before day, aliasing the
+// history's storage.
 func (h History) Before(day timeline.Day) []timeline.Day {
-	if h.packed == nil {
-		hi := sort.Search(len(h.days), func(i int) bool { return h.days[i] >= day })
-		return h.days[:hi]
-	}
-	var out []timeline.Day
-	h.eachDay(func(d timeline.Day) bool {
-		if d >= day {
-			return false
-		}
-		out = append(out, d)
-		return true
-	})
-	return out
+	return h.days[:h.search(day)]
 }
 
-// In returns the change days inside the half-open span. For a slice-form
-// history the result aliases storage; for a packed one it is decoded fresh.
+// In returns the change days inside the half-open span, aliasing the
+// history's storage.
 func (h History) In(span timeline.Span) []timeline.Day {
-	if h.packed == nil {
-		lo := sort.Search(len(h.days), func(i int) bool { return h.days[i] >= span.Start })
-		hi := sort.Search(len(h.days), func(i int) bool { return h.days[i] >= span.End })
-		return h.days[lo:hi]
-	}
-	if span.End <= h.first || span.Start > h.last {
-		return nil
-	}
-	var out []timeline.Day
-	h.eachDay(func(d timeline.Day) bool {
-		if d >= span.End {
-			return false
-		}
-		if d >= span.Start {
-			out = append(out, d)
-		}
-		return true
-	})
-	return out
+	lo, hi := h.positions(span)
+	return h.days[lo:hi]
 }
 
 // SameIn reports whether the field's change days inside span a equal those
 // inside span b. Both windows are contiguous runs of one strictly
 // increasing list, so they are equal iff both are empty or they start and
-// end at the same positions; nothing is decoded or compared day by day.
+// end at the same positions; nothing is compared day by day.
 func (h History) SameIn(a, b timeline.Span) bool {
 	loA, hiA := h.positions(a)
 	loB, hiB := h.positions(b)
@@ -309,98 +82,42 @@ func (h History) SameIn(a, b timeline.Span) bool {
 
 // positions returns the index range [lo, hi) of the days inside span.
 func (h History) positions(span timeline.Span) (lo, hi int) {
-	if h.packed == nil {
-		lo = sort.Search(len(h.days), func(i int) bool { return h.days[i] >= span.Start })
-		hi = sort.Search(len(h.days), func(i int) bool { return h.days[i] >= span.End })
-		return lo, max(lo, hi)
-	}
-	h.eachDay(func(d timeline.Day) bool {
-		if d >= span.End {
-			return false
-		}
-		if d < span.Start {
-			lo++
-		}
-		hi++
-		return true
-	})
+	lo, hi = h.search(span.Start), h.search(span.End)
 	return lo, max(lo, hi)
 }
 
-// sameDaysAs reports whether two histories hold the same days, whatever
-// their representations. Histories sharing one day slice or one packed
-// run compare equal without a scan.
+// search returns the index of the first change day at or after day.
+func (h History) search(day timeline.Day) int {
+	return sort.Search(len(h.days), func(i int) bool { return h.days[i] >= day })
+}
+
+// sameDaysAs reports whether two histories hold the same days. Histories
+// sharing one day slice compare equal without a scan.
 func (h History) sameDaysAs(o History) bool {
-	if h.Len() != o.Len() {
+	if len(h.days) != len(o.days) {
 		return false
 	}
-	if h.Len() == 0 {
-		return true
-	}
-	switch {
-	case h.packed == nil && o.packed == nil:
-		return &h.days[0] == &o.days[0] || slices.Equal(h.days, o.days)
-	case h.packed != nil && o.packed != nil:
-		if &h.packed[0] == &o.packed[0] || bytes.Equal(h.packed, o.packed) {
-			return true
-		}
-		// Differing bytes can still decode to equal days (a varint may be
-		// written overlong), so fall through to a day-by-day walk.
-	case h.packed != nil:
-		h, o = o, h // walk the packed one against the slice
-	}
-	days := h.Days()
-	i, same := 0, true
-	o.eachDay(func(d timeline.Day) bool {
-		same = d == days[i]
-		i++
-		return same
-	})
-	return same
+	return len(h.days) == 0 || &h.days[0] == &o.days[0] || slices.Equal(h.days, o.days)
 }
 
 // LastBefore returns the most recent change day strictly before day.
 func (h History) LastBefore(day timeline.Day) (timeline.Day, bool) {
-	if h.packed == nil {
-		hi := sort.Search(len(h.days), func(i int) bool { return h.days[i] >= day })
-		if hi == 0 {
-			return 0, false
-		}
-		return h.days[hi-1], true
-	}
-	if day <= h.first {
+	hi := h.search(day)
+	if hi == 0 {
 		return 0, false
 	}
-	if day > h.last {
-		return h.last, true
-	}
-	var best timeline.Day
-	h.eachDay(func(d timeline.Day) bool {
-		if d >= day {
-			return false
-		}
-		best = d
-		return true
-	})
-	return best, true
+	return h.days[hi-1], true
 }
 
 // Validate checks that the day list is strictly increasing.
 func (h History) Validate() error {
-	prev := timeline.Day(0)
-	idx := 0
-	var err error
-	h.eachDay(func(d timeline.Day) bool {
-		if idx > 0 && d <= prev {
-			err = fmt.Errorf("history %v: days not strictly increasing at %d (%v, %v)",
-				h.Field, idx, prev, d)
-			return false
+	for i := 1; i < len(h.days); i++ {
+		if h.days[i] <= h.days[i-1] {
+			return fmt.Errorf("history %v: days not strictly increasing at %d (%v, %v)",
+				h.Field, i, h.days[i-1], h.days[i])
 		}
-		prev = d
-		idx++
-		return true
-	})
-	return err
+	}
+	return nil
 }
 
 // HistorySet is the filtered dataset: one History per surviving field, plus
@@ -479,28 +196,6 @@ func (hs *HistorySet) ChangedSince(prev *HistorySet) map[FieldKey]bool {
 		}
 	}
 	return changed
-}
-
-// Pack returns a new set holding every history in packed representation,
-// with all day data re-encoded into one shared arena. The cube is shared.
-func (hs *HistorySet) Pack() *HistorySet {
-	out := &HistorySet{
-		cube:      hs.cube,
-		histories: make([]History, len(hs.histories)),
-		index:     make(map[FieldKey]int, len(hs.index)),
-	}
-	var arena []byte
-	for _, h := range hs.histories {
-		arena = h.AppendPackedDays(arena)
-	}
-	// Encode twice: the first pass sizes the arena so the second never
-	// reallocates (subslices must stay aliased into one block).
-	buf := make([]byte, 0, len(arena))
-	for i, h := range hs.histories {
-		out.histories[i], buf = h.Packed(buf)
-		out.index[h.Field] = i
-	}
-	return out
 }
 
 // Cube returns the underlying cube (entity metadata and dictionaries).

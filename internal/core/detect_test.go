@@ -109,32 +109,16 @@ func historylessReference(d *Detector) []changecube.FieldKey {
 // TestDetectStaleMatchesReference is the evidence index's correctness
 // contract: DetectStale returns alerts reflect.DeepEqual to the map-walk
 // reference for random (asOf, window) keys before, inside and past the
-// data span, over slice-form and packed histories, and after an Ingest
-// rebuilt the index — including one that gives a history-less consequent
-// its first history.
+// data span, and after an Ingest rebuilt the index — including one that
+// gives a history-less consequent its first history.
 func TestDetectStaleMatchesReference(t *testing.T) {
 	det, _ := detector(t)
 	if len(det.HistorylessConsequents()) == 0 {
 		t.Fatal("corpus has no history-less consequents; the test cannot cover them")
 	}
-	data, err := det.MarshalModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := LoadModelBytes(det.Histories().Pack(), det.FilterStats(), det.cfg, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !packed.Histories().Histories()[0].IsPacked() {
-		t.Fatal("packed detector holds slice-form histories")
-	}
 	rng := rand.New(rand.NewSource(19))
 	ingested := reload(t, det)
 	if err := ingested.Ingest(randomBatch(rng, ingested, 400)); err != nil {
-		t.Fatal(err)
-	}
-	ingestedPacked := reload(t, packed)
-	if err := ingestedPacked.Ingest(randomBatch(rng, ingestedPacked, 400)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,9 +130,7 @@ func TestDetectStaleMatchesReference(t *testing.T) {
 		d    *Detector
 	}{
 		{"trained", det},
-		{"packed", packed},
 		{"ingested", ingested},
-		{"ingested packed", ingestedPacked},
 	} {
 		noHistory := make(map[changecube.FieldKey]bool)
 		for _, f := range historylessReference(tc.d) {

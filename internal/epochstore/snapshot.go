@@ -15,6 +15,7 @@ import (
 	"github.com/wikistale/wikistale/internal/filter"
 	"github.com/wikistale/wikistale/internal/ingest"
 	"github.com/wikistale/wikistale/internal/obs"
+	"github.com/wikistale/wikistale/internal/timeline"
 )
 
 // snapMagic and snapVersion head every snapshot file. The version byte is
@@ -106,9 +107,7 @@ func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte) ([]byte,
 		buf = binary.AppendUvarint(buf, uint64(h.Field.Entity))
 		buf = binary.AppendUvarint(buf, uint64(h.Field.Property))
 		buf = binary.AppendUvarint(buf, uint64(h.Len()))
-		// Strictly increasing days: first day signed, then gaps (>= 1) —
-		// the History packed representation verbatim.
-		buf = h.AppendPackedDays(buf)
+		buf = appendDays(buf, h.Days())
 	}
 	// v2: the quality scorer's opaque state, length-prefixed. The store
 	// does not interpret it — the scorer's own magic/version live inside.
@@ -133,6 +132,51 @@ func sequentialOrdinals(cube *changecube.Cube) []int {
 		next[k]++
 	}
 	return ords
+}
+
+// appendDays appends a strictly increasing day list in the snapshot's day
+// encoding: the first day as a signed varint, then each gap to the
+// previous day (at least 1) as an unsigned varint.
+func appendDays(buf []byte, days []timeline.Day) []byte {
+	for i, day := range days {
+		if i == 0 {
+			buf = binary.AppendVarint(buf, int64(day))
+		} else {
+			buf = binary.AppendUvarint(buf, uint64(day-days[i-1]))
+		}
+	}
+	return buf
+}
+
+// readDays decodes count days written by appendDays, appending them to
+// days. A first day outside the Day range, a gap of 0 or above 1<<30, and
+// a day past the Day range are errors, as is a truncated varint.
+func readDays(r *changecube.Reader, days []timeline.Day, count int) ([]timeline.Day, error) {
+	v, err := r.Varint("first day")
+	if err != nil {
+		return nil, err
+	}
+	day := timeline.Day(v)
+	if int64(day) != v {
+		return nil, fmt.Errorf("first day %d out of range", v)
+	}
+	days = append(days, day)
+	for i := 1; i < count; i++ {
+		gap, err := r.Uvarint("day gap")
+		if err != nil {
+			return nil, err
+		}
+		if gap == 0 || gap > 1<<30 {
+			return nil, fmt.Errorf("day gap %d", gap)
+		}
+		next := day + timeline.Day(gap)
+		if next <= day {
+			return nil, fmt.Errorf("days overflow")
+		}
+		day = next
+		days = append(days, day)
+	}
+	return days, nil
 }
 
 // decodeSnapshot parses an encodeSnapshot payload, validating every
@@ -212,17 +256,12 @@ func decodeSnapshot(data []byte) (*snapshotPayload, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The on-disk day encoding is the History packed representation, so
-	// histories load without ever materializing day slices: scan each
-	// field's bytes in place (validating), then re-home all of them into
-	// one arena so the loaded epoch doesn't pin the snapshot buffer.
-	type histSpan struct {
-		field  changecube.FieldKey
-		packed []byte
-		ndays  int
-	}
-	spans := make([]histSpan, 0, nhist)
-	packedTotal := 0
+	// Every history's days decode into one shared arena; each history
+	// gets a capped subslice, so a staging walk that appends to a booted
+	// field's days reallocates instead of writing into the next field's.
+	var arena []timeline.Day
+	histories := make([]changecube.History, 0, nhist)
+	ends := make([]int, 0, nhist)
 	for i := 0; i < nhist; i++ {
 		entity, err := r.Uvarint("history entity")
 		if err != nil {
@@ -242,28 +281,17 @@ func decodeSnapshot(data []byte) (*snapshotPayload, error) {
 		if ndays == 0 {
 			return nil, fmt.Errorf("history %d is empty", i)
 		}
-		field := changecube.FieldKey{Entity: changecube.EntityID(entity), Property: changecube.PropertyID(property)}
-		_, consumed, err := changecube.ScanPackedDays(field, r.Rest(), ndays)
-		if err != nil {
+		if arena, err = readDays(r, arena, ndays); err != nil {
 			return nil, fmt.Errorf("history %d: %w", i, err)
 		}
-		packed, err := r.Take(consumed, "history days")
-		if err != nil {
-			return nil, err
-		}
-		spans = append(spans, histSpan{field: field, packed: packed, ndays: ndays})
-		packedTotal += consumed
+		field := changecube.FieldKey{Entity: changecube.EntityID(entity), Property: changecube.PropertyID(property)}
+		histories = append(histories, changecube.NewHistory(field, nil))
+		ends = append(ends, len(arena))
 	}
-	arena := make([]byte, 0, packedTotal)
-	histories := make([]changecube.History, 0, nhist)
-	for _, sp := range spans {
-		start := len(arena)
-		arena = append(arena, sp.packed...)
-		h, err := changecube.NewHistoryPacked(sp.field, arena[start:len(arena):len(arena)], sp.ndays)
-		if err != nil {
-			return nil, fmt.Errorf("history %v: %w", sp.field, err)
-		}
-		histories = append(histories, h)
+	start := 0
+	for i, end := range ends {
+		histories[i] = changecube.NewHistory(histories[i].Field, arena[start:end:end])
+		start = end
 	}
 	var qualityState []byte
 	if version >= snapVersion {

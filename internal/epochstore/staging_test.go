@@ -16,6 +16,7 @@ import (
 	"github.com/wikistale/wikistale/internal/dataset"
 	"github.com/wikistale/wikistale/internal/filter"
 	"github.com/wikistale/wikistale/internal/ingest"
+	"github.com/wikistale/wikistale/internal/timeline"
 )
 
 // bootEpoch streams cube through staging up to its last tail day batches,
@@ -123,6 +124,12 @@ func sameSnapshots(t *testing.T, step string, got, want *ingest.Staging, cfg cor
 // entities and properties, and a field crossing MinChanges; most fields
 // are never touched. A second lazy staging reads Stats mid-stream, which
 // walks every field still lazy.
+//
+// The lazy stagings' funnels share the booted histories' day slices, which
+// the snapshot decoder carves out of one arena. After every batch the
+// booted detector's histories must still equal a copy taken at load; the
+// last three batches append a day to a field whose successor in the arena
+// no batch touches, truncate it again, and re-grow it.
 func TestEpochStagingMatchesEager(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cube, _, err := dataset.Generate(tinyCorpus())
@@ -130,6 +137,11 @@ func TestEpochStagingMatchesEager(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, src := bootEpoch(t, cube, cfg, 12, nil)
+	booted := res.Detector.Histories().Histories()
+	atLoad := make([][]timeline.Day, len(booted))
+	for i, h := range booted {
+		atLoad[i] = slices.Clone(h.Days())
+	}
 	lazy, err := res.Staging()
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +170,7 @@ func TestEpochStagingMatchesEager(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	rng.Shuffle(len(batches), func(i, j int) { batches[i], batches[j] = batches[j], batches[i] })
+	batches = append(batches, neighbourBatches(t, res, batches)...)
 	for i, batch := range batches {
 		for _, st := range []*ingest.Staging{lazy, eager, statsRead} {
 			if _, err := st.Append(batch); err != nil {
@@ -168,6 +181,11 @@ func TestEpochStagingMatchesEager(t *testing.T) {
 			statsRead.Stats()
 		}
 		step := fmt.Sprintf("batch %d", i)
+		for j, h := range booted {
+			if !slices.Equal(h.Days(), atLoad[j]) {
+				t.Fatalf("%s: booted history %v is %v, loaded as %v", step, h.Field, h.Days(), atLoad[j])
+			}
+		}
 		sameSnapshots(t, step, lazy, eager, cfg)
 		sameSnapshots(t, step+" (stats read)", statsRead, eager, cfg)
 	}
@@ -244,6 +262,64 @@ func craftedBatches(t *testing.T, res *LoadResult, cfg filter.Config) [][]ingest
 	newProperty := some
 	newProperty.Property = "property first seen after the restart"
 	return [][]ingest.Event{late, atResume, tie, straddle, crossing, {newEntity, newProperty}}
+}
+
+// neighbourBatches builds three batches for a booted field that no batch
+// in others touches and whose successor in field order (the next history
+// in the decoder's arena) none touches either: one appends a day after the
+// field's last change, one bot-reverts that change so the day vanishes
+// again, and one appends a later day.
+func neighbourBatches(t *testing.T, res *LoadResult, others [][]ingest.Event) [][]ingest.Event {
+	t.Helper()
+	cube := res.Detector.Histories().Cube().Clone()
+	type fieldName struct {
+		page, template, property string
+		infobox                  int
+	}
+	name := func(k changecube.FieldKey) fieldName {
+		info := cube.Entity(k.Entity)
+		return fieldName{
+			page:     cube.Pages.Name(int32(info.Page)),
+			template: cube.Templates.Name(int32(info.Template)),
+			property: cube.Properties.Name(int32(k.Property)),
+			infobox:  res.ordinals[k.Entity],
+		}
+	}
+	touched := make(map[fieldName]bool)
+	for _, batch := range others {
+		for _, ev := range batch {
+			touched[fieldName{ev.Page, ev.Template, ev.Property, ev.Infobox}] = true
+		}
+	}
+	keys, groups := cube.FieldIndexes()
+	logs := make(map[changecube.FieldKey]changecube.FieldLog, len(keys))
+	for i, k := range keys {
+		logs[k] = cube.FieldLog(groups[i])
+	}
+	hists := res.Detector.Histories().Histories()
+	for i := 0; i+1 < len(hists); i++ {
+		k := hists[i].Field
+		l := logs[k]
+		last := l.At(l.Len() - 1)
+		if touched[name(k)] || touched[name(hists[i+1].Field)] || last.Kind != changecube.Update {
+			continue
+		}
+		n := name(k)
+		event := func(time int64, value string, bot bool) []ingest.Event {
+			return []ingest.Event{{
+				Time: time, Page: n.page, Template: n.template, Infobox: n.infobox,
+				Property: n.property, Value: value, Kind: changecube.Update, Bot: bot,
+			}}
+		}
+		const day = 86400
+		return [][]ingest.Event{
+			event(last.Time+2*day, "appended", false),
+			event(last.Time+2*day+60, last.Value, true),
+			event(last.Time+4*day, "re-grown", false),
+		}
+	}
+	t.Fatal("corpus lacks two neighbouring booted fields no batch touches")
+	return nil
 }
 
 // changesOf materializes a field's change list.

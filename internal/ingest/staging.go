@@ -186,7 +186,9 @@ func newStagingAt(cube *changecube.Cube, cfg filter.Config, ordinals []int, pos 
 // adoptEpoch takes det's persisted funnel counts and histories as the
 // state of the staged fields, whose buffers are bufs, marking each lazy,
 // when they are consistent with the staged cube; it reports whether they
-// were.
+// were. The funnels share the histories' day slices, which the epoch
+// store decodes capped, so a walk that appends to one reallocates rather
+// than writing into the days of the next field or of det.
 func (st *Staging) adoptEpoch(det *core.Detector, bufs []fieldBuf) bool {
 	counts, ok := filter.CountsOf(det.FilterStats())
 	if !ok || counts.Raw != st.cube.NumChanges() {
@@ -205,13 +207,8 @@ func (st *Staging) adoptEpoch(det *core.Detector, bufs []fieldBuf) bool {
 	if days != counts.AfterMinChanges {
 		return false
 	}
-	// Snapshot hands these out to training, which queries a day slice far
-	// faster than the packed form an epoch persists, so they are decoded
-	// once here. Capped, so a walk that appends days copies them first
-	// instead of writing into storage a slice-form history may share.
 	for i, h := range hists {
-		days := h.Days()
-		owners[i].funnel.Days = days[:len(days):len(days)]
+		owners[i].funnel.Days = h.Days()
 	}
 	for i := range bufs {
 		bufs[i].funnel.Raw = -1

@@ -2,9 +2,9 @@
 // ingestion path with no batch cube ever materialized on the producer
 // side, then measure what the serving tier actually pays at that scale —
 // ingest throughput, heap-live bytes per staged change for the compact
-// (columnar + packed-history) layout versus the legacy []Change+index
-// shadow, and the retrain-to-swap latency of a forced full rebuild versus
-// the incremental path after a small intra-day delta.
+// (columnar) layout versus the legacy []Change+index shadow, and the
+// retrain-to-swap latency of a forced full rebuild versus the incremental
+// path after a small intra-day delta.
 //
 // The benchmark is env-gated because the interesting scales take minutes:
 //
@@ -150,7 +150,6 @@ func runScale(b *testing.B, scale int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hs = hs.Pack() // the layout a booted-from-epoch server holds
 	cube := hs.Cube()
 	staged := cube.NumChanges()
 
@@ -164,9 +163,8 @@ func runScale(b *testing.B, scale int) {
 	// --- Memory: everything the compact serving state keeps live, versus
 	// the delta of materializing the pre-compact layout on top of it: one
 	// Change row per change with its own value string allocation, the
-	// field→changes map index, and slice-backed per-field day histories —
-	// exactly what the repo held per corpus before the columnar cube and
-	// packed histories.
+	// field→changes map index, and a copy of every per-field day history
+	// — what the repo held per corpus before the columnar cube.
 	compact := heapLive() - base
 	legacyChanges := cube.Changes()
 	for i := range legacyChanges {
@@ -245,7 +243,7 @@ func runScale(b *testing.B, scale int) {
 		b.Fatal(err)
 	}
 	// The retrain derives this delta itself; timing it here shows what the
-	// derivation costs against a packed previous set.
+	// derivation costs.
 	diffStart := time.Now()
 	report.Quality.DirtyFields = len(hsd.ChangedSince(hs))
 	b.Logf("delta: %d of %d fields changed, derived in %v",

@@ -2,7 +2,7 @@
 # scalesmoke.sh — run BenchmarkScale on a streamed corpus and gate the
 # two claims the scale work makes: the incremental retrain must be
 # decisively faster than a forced full rebuild over the same snapshot,
-# and the compact (columnar + packed-history) layout must stay well
+# and the compact (columnar) layout must stay well
 # under the legacy row-struct layout's heap-live bytes per change.
 # CI runs this at SCALE=1 (~1.2M changes, minutes not hours) and uploads
 # the report; the paper-scale numbers in BENCH_SCALE.json come from a
