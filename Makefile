@@ -41,15 +41,19 @@ bench:
 # path against encoding/json), and the epoch store's log
 # and snapshot decoders (crash-recovery surfaces: they parse whatever a
 # torn write left on disk; the snapshot decoder runs the same cube codec).
+# Each new interesting input is minimized for at most 1s: with Go's
+# default of 60s, FuzzSnapshotDecode spends a whole burst minimizing one
+# input derived from its large seed snapshot, at 0 execs/s.
 FUZZTIME ?= 10s
+FUZZFLAGS = -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/changecube
-	$(GO) test -run '^$$' -fuzz '^FuzzParseInfoboxes$$' -fuzztime $(FUZZTIME) ./internal/wikitext
-	$(GO) test -run '^$$' -fuzz '^FuzzDetectCounterAnomalies$$' -fuzztime $(FUZZTIME) ./internal/values
-	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/ingest
-	$(GO) test -run '^$$' -fuzz '^FuzzParseEventLine$$' -fuzztime $(FUZZTIME) ./internal/ingest
-	$(GO) test -run '^$$' -fuzz '^FuzzEpochLogDecode$$' -fuzztime $(FUZZTIME) ./internal/epochstore
-	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) ./internal/epochstore
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' $(FUZZFLAGS) ./internal/changecube
+	$(GO) test -run '^$$' -fuzz '^FuzzParseInfoboxes$$' $(FUZZFLAGS) ./internal/wikitext
+	$(GO) test -run '^$$' -fuzz '^FuzzDetectCounterAnomalies$$' $(FUZZFLAGS) ./internal/values
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' $(FUZZFLAGS) ./internal/ingest
+	$(GO) test -run '^$$' -fuzz '^FuzzParseEventLine$$' $(FUZZFLAGS) ./internal/ingest
+	$(GO) test -run '^$$' -fuzz '^FuzzEpochLogDecode$$' $(FUZZFLAGS) ./internal/epochstore
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' $(FUZZFLAGS) ./internal/epochstore
 
 # HTTP load smoke: boot a live staleserve on the simulated feed, drive
 # it with cmd/staleload in both loop modes, assert healthy throughput,

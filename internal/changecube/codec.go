@@ -65,18 +65,27 @@ func (c *Cube) DecodeDicts(r *Reader) error {
 	return nil
 }
 
-// AppendChanges appends the cube's change list in canonical order,
-// sorting the cube first. It streams off the packed storage, so a large
-// cube is never materialized as a []Change.
+// AppendChanges appends the cube's change list in canonical order. A
+// sorted cube is walked as stored; otherwise the changes are encoded
+// through canonicalOrder's permutation of the log. Either way the cube is
+// only read, never reordered or materialized as a []Change, so a
+// detector's cube can be encoded while it serves.
 func (c *Cube) AppendChanges(buf []byte) []byte {
-	c.Sort()
 	buf = binary.AppendUvarint(buf, uint64(c.NumChanges()))
 	prev := int64(0)
-	c.EachChange(func(_ int, ch Change) bool {
+	if c.sorted {
+		c.EachChange(func(_ int, ch Change) bool {
+			buf = appendChange(buf, ch, prev)
+			prev = ch.Time
+			return true
+		})
+		return buf
+	}
+	for _, i := range c.canonicalOrder() {
+		ch := c.log.at(int(i))
 		buf = appendChange(buf, ch, prev)
 		prev = ch.Time
-		return true
-	})
+	}
 	return buf
 }
 

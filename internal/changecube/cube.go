@@ -199,7 +199,7 @@ func (c *Cube) Add(ch Change) {
 	}
 	if c.log.len() > 0 && c.sorted {
 		prev := c.last
-		if ch.Time < prev.Time || (ch.Time == prev.Time && !lessAt(prev, ch) && prev != ch) {
+		if Less(ch, prev) {
 			c.sorted = false
 		}
 	}
@@ -227,32 +227,52 @@ func Less(a, b Change) bool {
 	return lessAt(a, b)
 }
 
-// compare is Less as a three-way comparison, for slices.SortStableFunc.
-func compare(a, b Change) int {
-	switch {
-	case a.Time != b.Time:
-		return cmp.Compare(a.Time, b.Time)
-	case a.Entity != b.Entity:
-		return cmp.Compare(a.Entity, b.Entity)
-	default:
-		return cmp.Compare(a.Property, b.Property)
-	}
-}
-
-// Sort arranges the changes in canonical order. It is a no-op when the cube
-// is already sorted. Sorting rebuilds the packed storage, so any append-
-// order indexes captured before the call are invalidated.
+// Sort arranges the changes in canonical order, changes that tie on
+// (time, entity, property) in append order. It is a no-op when the cube
+// is already sorted. Sorting rebuilds the packed storage in a fresh log,
+// so logs sharing chunks with this one through earlier clones are
+// unaffected, and any append-order indexes captured before the call are
+// invalidated.
 func (c *Cube) Sort() {
 	if c.sorted {
 		return
 	}
-	changes := c.materialize()
-	slices.SortStableFunc(changes, compare)
-	c.log.replace(changes)
+	sorted := newChangeLog()
+	for _, i := range c.canonicalOrder() {
+		sorted.add(c.log.at(int(i)))
+	}
+	c.log = sorted
 	c.sorted = true
 	if n := c.log.len(); n > 0 {
 		c.last = c.log.at(n - 1)
 	}
+}
+
+// canonicalOrder returns the log indexes in canonical order, changes that
+// tie on (time, entity, property) by index, which is append order until
+// the cube is sorted. It sorts a permutation by reading the packed
+// columns, so the log itself is neither copied nor reordered.
+func (c *Cube) canonicalOrder() []uint32 {
+	perm := make([]uint32, c.log.len())
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	chunks := c.log.chunks
+	slices.SortFunc(perm, func(a, b uint32) int {
+		ca, ia := chunks[a>>logChunkShift], a&logChunkMask
+		cb, ib := chunks[b>>logChunkShift], b&logChunkMask
+		if ta, tb := ca.times[ia], cb.times[ib]; ta != tb {
+			return cmp.Compare(ta, tb)
+		}
+		if ea, eb := ca.ents[ia], cb.ents[ib]; ea != eb {
+			return cmp.Compare(ea, eb)
+		}
+		if pa, pb := ca.props[ia], cb.props[ib]; pa != pb {
+			return cmp.Compare(pa, pb)
+		}
+		return cmp.Compare(a, b)
+	})
+	return perm
 }
 
 // materialize copies the packed log into a fresh []Change. Value strings

@@ -204,14 +204,3 @@ func (l *changeLog) clone() changeLog {
 	}
 	return out
 }
-
-// replace rebuilds the log from a materialized change list (used by Sort).
-// The fresh log gets its own chunks and arena, so logs sharing chunks with
-// this one through earlier clones are unaffected.
-func (l *changeLog) replace(changes []Change) {
-	fresh := newChangeLog()
-	for _, ch := range changes {
-		fresh.add(ch)
-	}
-	*l = fresh
-}

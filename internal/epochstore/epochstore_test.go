@@ -474,7 +474,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 // panic, never half-load.
 func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	det, cp, _ := trainEpoch(t)
-	payload, err := encodeSnapshot(det, cp.Ordinals, nil)
+	payload, err := encodeSnapshot(det, cp.Ordinals, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func FuzzEpochLogDecode(f *testing.F) {
 // which panics on out-of-range references.
 func FuzzSnapshotDecode(f *testing.F) {
 	det, cp, _ := trainEpoch(f)
-	payload, err := encodeSnapshot(det, cp.Ordinals, nil)
+	payload, err := encodeSnapshot(det, cp.Ordinals, nil, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

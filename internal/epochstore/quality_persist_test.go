@@ -71,7 +71,7 @@ func TestSnapshotWithoutQualitySource(t *testing.T) {
 // this one.
 func TestSnapshotVersion1BackCompat(t *testing.T) {
 	det, cp, _ := trainEpoch(t)
-	payload, err := encodeSnapshot(det, cp.Ordinals, nil)
+	payload, err := encodeSnapshot(det, cp.Ordinals, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSnapshotVersion1BackCompat(t *testing.T) {
 func TestSnapshotQualityOpaque(t *testing.T) {
 	det, cp, _ := trainEpoch(t)
 	blob := []byte("not a real scorer state \x00\xff")
-	payload, err := encodeSnapshot(det, cp.Ordinals, blob)
+	payload, err := encodeSnapshot(det, cp.Ordinals, blob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

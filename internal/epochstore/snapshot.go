@@ -51,16 +51,17 @@ type snapshotPayload struct {
 
 // encodeSnapshot serializes an epoch: the detector's model JSON, the three
 // interned dictionaries, the entity table with infobox ordinals, and the
-// cube's changes in canonical order (both in changecube's codec). The cube
-// is cloned before sorting so a detector serving from it is never
-// disturbed; the canonical order makes the encoding deterministic for a
-// given corpus regardless of arrival order.
-func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte) ([]byte, error) {
+// cube's changes in canonical order (both in changecube's codec), so the
+// encoding is deterministic for a given corpus regardless of arrival
+// order. Encoding only reads the cube, which a detector may be serving
+// from. The payload is built in one buffer of sizeHint bytes (the
+// expected size; a short hint only costs regrowth).
+func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte, sizeHint int) ([]byte, error) {
 	model, err := det.MarshalModel()
 	if err != nil {
 		return nil, fmt.Errorf("epochstore: marshaling model: %w", err)
 	}
-	cube := det.Histories().Cube().Clone()
+	cube := det.Histories().Cube()
 	if ordinals == nil {
 		// No checkpoint ordinals (a snapshot outside the live loop):
 		// first-seen sequential numbering, matching NewStagingFromCube.
@@ -70,7 +71,7 @@ func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte) ([]byte,
 		return nil, fmt.Errorf("epochstore: %d ordinals for %d entities", len(ordinals), cube.NumEntities())
 	}
 
-	var buf []byte
+	buf := make([]byte, 0, sizeHint)
 	buf = append(buf, snapMagic...)
 	buf = append(buf, snapVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(model)))
@@ -83,9 +84,16 @@ func encodeSnapshot(det *core.Detector, ordinals []int, quality []byte) ([]byte,
 		buf = binary.AppendUvarint(buf, uint64(info.Page))
 		buf = binary.AppendUvarint(buf, uint64(ordinals[e]))
 	}
-	changes := cube.AppendChanges([]byte(changesTag))
-	buf = binary.AppendUvarint(buf, uint64(len(changes)))
-	buf = append(buf, changes...)
+	// The change section is length-prefixed. It is encoded in place after
+	// room for the longest prefix, then moved back over the unused part.
+	at := len(buf)
+	buf = append(buf, make([]byte, binary.MaxVarintLen64)...)
+	start := len(buf)
+	buf = append(buf, changesTag...)
+	buf = cube.AppendChanges(buf)
+	n := len(buf) - start
+	k := binary.PutUvarint(buf[at:], uint64(n))
+	buf = buf[:at+k+copy(buf[at+k:], buf[start:])]
 
 	// The derived serving state rides along so a load never has to
 	// recompute it: the noise-funnel counters and every filtered history.
@@ -356,7 +364,10 @@ func (s *Store) snapshot(det *core.Detector, cp ingest.Checkpoint) (Record, erro
 	if src := s.qualitySource; src != nil {
 		qual = src()
 	}
-	payload, err := encodeSnapshot(det, cp.Ordinals, qual)
+	s.mu.Lock()
+	hint := s.sizeHintLocked(det.Histories().Cube().NumChanges())
+	s.mu.Unlock()
+	payload, err := encodeSnapshot(det, cp.Ordinals, qual, hint)
 	if err != nil {
 		return Record{}, err
 	}
@@ -408,6 +419,23 @@ func (s *Store) snapshot(det *core.Detector, cp ingest.Checkpoint) (Record, erro
 	s.nextSeq = seq + 1
 	s.gcLocked()
 	return rec, nil
+}
+
+// sizeHintLocked predicts the payload size of a snapshot of changes
+// changes from the newest record, scaled by change count (the bytes per
+// change barely move from one epoch of a corpus to the next) plus 1/16 to
+// spare. It is 0, no hint, before the store holds a record. Caller holds
+// s.mu.
+func (s *Store) sizeHintLocked(changes int) int {
+	if len(s.records) == 0 {
+		return 0
+	}
+	last := s.records[len(s.records)-1]
+	hint := last.Bytes
+	if last.Changes > 0 {
+		hint = hint * int64(changes) / int64(last.Changes)
+	}
+	return int(hint + hint/16)
 }
 
 // LoadResult is the outcome of a boot-from-store attempt.

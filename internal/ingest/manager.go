@@ -109,6 +109,12 @@ type Stats struct {
 	// accounting of the most recent successful retrain.
 	LastRetrainPagesReused    int `json:"last_retrain_pages_reused,omitempty"`
 	LastRetrainPagesRetrained int `json:"last_retrain_pages_retrained,omitempty"`
+	// RetrainDeferrals counts the times the change-count trigger was held
+	// back by the retrain limit (see Manager.Run), and
+	// RetrainDeferredSeconds sums how long each hold lasted, from when the
+	// trigger first wanted to fire to when its retrain started.
+	RetrainDeferrals       uint64  `json:"retrain_deferrals"`
+	RetrainDeferredSeconds float64 `json:"retrain_deferred_seconds"`
 	// LastError is the most recent retrain failure ("span too short" until
 	// a cold start has accumulated enough history).
 	LastError string `json:"last_error,omitempty"`
@@ -154,6 +160,17 @@ type Manager struct {
 	retrainMu sync.Mutex    // held for the duration of one retrain
 	wg        sync.WaitGroup
 
+	// The count trigger's retrain limit. now is its clock (time.Now; a
+	// test seam). notBefore (Unix nanoseconds) is the earliest the count
+	// trigger may start the next retrain: as long after the last
+	// background retrain that produced a detector ended as that retrain
+	// took; the retrain goroutine sets it. deferredSince is when the
+	// trigger first wanted to fire during the current hold (zero when
+	// none); only the consume loop touches it.
+	now           func() time.Time
+	notBefore     atomic.Int64
+	deferredSince time.Time
+
 	// Incremental-retraining state, guarded by retrainMu: the last
 	// successfully trained detector, or before the first retrain the
 	// epoch detector the staging was booted from (rule-reuse source; the
@@ -182,6 +199,8 @@ type Manager struct {
 	retrainSeconds *obs.Histogram
 	retrainsTotal  *obs.Counter
 	retrainErrors  *obs.Counter
+	deferrals      *obs.Counter
+	deferredSecs   *obs.Gauge
 }
 
 // NewManager wires a source and staging buffer to a swap callback. The
@@ -199,6 +218,8 @@ func NewManager(src Source, st *Staging, swap func(*core.Detector), cfg Config) 
 	reg.SetHelp("wikistale_ingest_retrain_seconds", "Background retrain duration (snapshot + train).")
 	reg.SetHelp("wikistale_ingest_retrains_total", "Background retrains that produced a detector.")
 	reg.SetHelp("wikistale_ingest_retrain_errors_total", "Background retrains that failed.")
+	reg.SetHelp("wikistale_ingest_retrain_deferrals_total", "Times the change-count trigger was held back because the previous retrain ended less than its own duration ago.")
+	reg.SetHelp("wikistale_ingest_retrain_deferred_seconds_total", "Total time count-triggered retrains were held back, from when the trigger first wanted to fire to when the retrain started (only ever added to).")
 	positioned, _ := src.(Positioned)
 	return &Manager{
 		src:            src,
@@ -218,6 +239,9 @@ func NewManager(src Source, st *Staging, swap func(*core.Detector), cfg Config) 
 		retrainSeconds: reg.Histogram("wikistale_ingest_retrain_seconds", obs.DurationBuckets, nil),
 		retrainsTotal:  reg.Counter("wikistale_ingest_retrains_total", nil),
 		retrainErrors:  reg.Counter("wikistale_ingest_retrain_errors_total", nil),
+		deferrals:      reg.Counter("wikistale_ingest_retrain_deferrals_total", nil),
+		deferredSecs:   reg.Gauge("wikistale_ingest_retrain_deferred_seconds_total", nil),
+		now:            time.Now,
 	}
 }
 
@@ -281,6 +305,17 @@ func (m *Manager) FeedLag() float64 {
 // final flush retrain) or ctx is cancelled (returning ctx.Err after
 // waiting for any in-flight retrain). A time trigger runs alongside so a
 // trickling feed still retrains on schedule.
+//
+// The change-count trigger is limited to half of one core: after a
+// background retrain that produced a detector, it does not fire again
+// until as long after that retrain ended as the retrain took. During a
+// catch-up it would otherwise start the next retrain the moment the last
+// one ends, so retraining and ingestion would each keep a core busy and
+// a request would wait for the scheduler to poll the network. Pending
+// changes keep accumulating meanwhile, and the first batch after the
+// limit starts the retrain. A failed retrain sets no limit (a cold start
+// fails until the corpus spans enough days), and neither the interval
+// trigger nor the EOF flush is limited.
 func (m *Manager) Run(ctx context.Context) error {
 	defer m.wg.Wait()
 	if m.cfg.RetrainInterval > 0 {
@@ -309,10 +344,14 @@ func (m *Manager) Run(ctx context.Context) error {
 			if aerr := m.consume(events); aerr != nil {
 				return aerr
 			}
-			// A catch-up reads batches back to back without blocking, so
-			// this goroutine would keep a core until its time slice ends
-			// while retrains hold the other; yielding lets request
-			// handlers run between batches.
+			// A catch-up reads batches back to back without blocking.
+			// The yield puts this goroutine behind every runnable one,
+			// so a request handler that is ready gets the core between
+			// batches. It does not poll the network: a connection that
+			// became readable still waits for the scheduler's next poll.
+			// On the benchmark's backfill workload (2 vCPUs, retrain
+			// limit in force), dropping it raised the dashboard's p75
+			// from 0.86-0.98 ms to 1.7-2.3 ms over four seeds.
 			runtime.Gosched()
 		}
 		switch {
@@ -324,6 +363,7 @@ func (m *Manager) Run(ctx context.Context) error {
 			// Final flush: fold everything still pending into one last
 			// detector before reporting the feed done.
 			if m.pending.Load() > 0 {
+				m.endDeferral()
 				m.retrain("flush")
 			}
 			return nil
@@ -332,10 +372,47 @@ func (m *Manager) Run(ctx context.Context) error {
 		default:
 			return fmt.Errorf("ingest: source: %w", err)
 		}
-		if n := m.cfg.RetrainChanges; n > 0 && m.pending.Load() >= uint64(n) {
-			m.tryRetrain("count")
+		if n := m.cfg.RetrainChanges; n > 0 {
+			m.countTrigger(uint64(n))
 		}
 	}
+}
+
+// countTrigger starts a count-triggered retrain once n changes are
+// pending and the retrain limit has passed (see Run), counting the time
+// it spends held back by the limit. It runs on the consume loop only.
+func (m *Manager) countTrigger(n uint64) {
+	if m.pending.Load() < n {
+		// Not due, or the interval trigger took the changes during a hold.
+		m.endDeferral()
+		return
+	}
+	if now := m.now(); now.UnixNano() < m.notBefore.Load() {
+		if m.deferredSince.IsZero() {
+			m.deferredSince = now
+			m.deferrals.Inc()
+			m.mu.Lock()
+			m.stats.RetrainDeferrals++
+			m.mu.Unlock()
+		}
+		return
+	}
+	m.endDeferral()
+	m.tryRetrain("count")
+}
+
+// endDeferral closes the count trigger's current hold, if any, adding
+// its length to the deferred-time total.
+func (m *Manager) endDeferral() {
+	if m.deferredSince.IsZero() {
+		return
+	}
+	held := m.now().Sub(m.deferredSince).Seconds()
+	m.deferredSince = time.Time{}
+	m.deferredSecs.Add(held)
+	m.mu.Lock()
+	m.stats.RetrainDeferredSeconds += held
+	m.mu.Unlock()
 }
 
 // consume appends one batch and updates metrics and stats. The source
@@ -385,7 +462,9 @@ func (m *Manager) consume(events []Event) error {
 }
 
 // tryRetrain starts a background retrain unless one is already running —
-// the triggers re-fire, so a skipped attempt is never lost.
+// the triggers re-fire, so a skipped attempt is never lost. A retrain that
+// produces a detector sets the count trigger's limit, timed over the
+// whole job, post-swap hook included.
 func (m *Manager) tryRetrain(trigger string) {
 	if !m.retrainMu.TryLock() {
 		return
@@ -394,7 +473,11 @@ func (m *Manager) tryRetrain(trigger string) {
 	go func() {
 		defer m.wg.Done()
 		defer m.retrainMu.Unlock()
-		m.retrainLocked(trigger)
+		start := m.now()
+		if m.retrainLocked(trigger) {
+			end := m.now()
+			m.notBefore.Store(end.Add(end.Sub(start)).UnixNano())
+		}
 	}()
 }
 
@@ -407,8 +490,9 @@ func (m *Manager) retrain(trigger string) {
 
 // retrainLocked snapshots, trains, and swaps under a fresh root trace, so
 // /debug/traces shows the trigger and the filter/train stage breakdown of
-// every retrain. Caller holds retrainMu.
-func (m *Manager) retrainLocked(trigger string) {
+// every retrain, and reports whether it produced a detector. Caller holds
+// retrainMu.
+func (m *Manager) retrainLocked(trigger string) bool {
 	m.pending.Store(0)
 	ctx, root := trace.StartIn(trace.Default, context.Background(), "retrain")
 	root.SetAttr("trigger", trigger)
@@ -435,7 +519,7 @@ func (m *Manager) retrainLocked(trigger string) {
 			slog.String("trigger", trigger),
 			slog.Duration("elapsed", elapsed),
 			slog.String("error", err.Error()))
-		return
+		return false
 	}
 	inc := det.CorrelationRetrain()
 	rec.Mode = "full"
@@ -481,6 +565,7 @@ func (m *Manager) retrainLocked(trigger string) {
 		// cursor, not the snapshot capture.
 		m.postSwap(ctx, det, m.st.SnapshotCheckpoint())
 	}
+	return true
 }
 
 // train builds a detector from the current staging snapshot with the last
