@@ -155,10 +155,6 @@ func (t *Threshold) Explain(ctx predict.Context) (inSet, sizeKnown bool) {
 	return set[ctx.Target()], true
 }
 
-// AlwaysPredicted returns how many fields are unconditionally predicted at
-// the given window size.
-func (t *Threshold) AlwaysPredicted(size int) int { return len(t.always[size]) }
-
 // SizeFields pairs a window size with the fields unconditionally predicted
 // at that size, the serializable unit of the threshold baseline.
 type SizeFields struct {

@@ -128,8 +128,8 @@ func TestThresholdTrainsPerSize(t *testing.T) {
 			t.Errorf("sparse field at size %d = %v, want %v", size, got, want)
 		}
 	}
-	if th.AlwaysPredicted(1) != 1 || th.AlwaysPredicted(30) != 2 {
-		t.Fatalf("AlwaysPredicted: 1d=%d 30d=%d", th.AlwaysPredicted(1), th.AlwaysPredicted(30))
+	if len(th.always[1]) != 1 || len(th.always[30]) != 2 {
+		t.Fatalf("always-predicted fields: 1d=%d 30d=%d", len(th.always[1]), len(th.always[30]))
 	}
 }
 

@@ -309,11 +309,6 @@ func (c *Cube) EachChange(fn func(i int, ch Change) bool) {
 	c.log.each(0, c.log.len(), fn)
 }
 
-// EachChangeIn visits changes with index in [lo, hi).
-func (c *Cube) EachChangeIn(lo, hi int, fn func(i int, ch Change) bool) {
-	c.log.each(lo, hi, fn)
-}
-
 // NumChanges returns the number of changes.
 func (c *Cube) NumChanges() int { return c.log.len() }
 
@@ -439,24 +434,6 @@ func (l FieldLog) Len() int { return len(l.idx) }
 
 // At returns the view's i-th change; its value aliases the cube's arena.
 func (l FieldLog) At(i int) Change { return l.cube.ChangeAt(int(l.idx[i])) }
-
-// EntitiesByPage groups entity ids by the page they appear on.
-func (c *Cube) EntitiesByPage() map[PageID][]EntityID {
-	out := make(map[PageID][]EntityID)
-	for i, info := range c.entities {
-		out[info.Page] = append(out[info.Page], EntityID(i))
-	}
-	return out
-}
-
-// EntitiesByTemplate groups entity ids by their template.
-func (c *Cube) EntitiesByTemplate() map[TemplateID][]EntityID {
-	out := make(map[TemplateID][]EntityID)
-	for i, info := range c.entities {
-		out[info.Template] = append(out[info.Template], EntityID(i))
-	}
-	return out
-}
 
 // Clone returns a deep logical copy of the cube: dictionaries and entity
 // metadata are freshly allocated, and the change log is copied

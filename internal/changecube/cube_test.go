@@ -129,16 +129,6 @@ func TestCubeSpan(t *testing.T) {
 
 func TestCubeGroupings(t *testing.T) {
 	c, es := buildTestCube()
-	byPage := c.EntitiesByPage()
-	london, _ := c.Pages.Lookup("London")
-	if got := byPage[PageID(london)]; len(got) != 2 {
-		t.Fatalf("London page has %d entities, want 2", len(got))
-	}
-	byTemplate := c.EntitiesByTemplate()
-	settlement, _ := c.Templates.Lookup("infobox settlement")
-	if got := byTemplate[TemplateID(settlement)]; len(got) != 2 || got[0] != es[0] || got[1] != es[1] {
-		t.Fatalf("settlement template entities = %v", got)
-	}
 	pop, _ := c.Properties.Lookup("population")
 	k := FieldKey{Entity: es[0], Property: PropertyID(pop)}
 	fields, groups := c.FieldIndexes()

@@ -45,12 +45,6 @@ func (h History) Last() (timeline.Day, bool) {
 	return h.days[len(h.days)-1], true
 }
 
-// CountIn returns the number of change days inside the half-open span.
-func (h History) CountIn(span timeline.Span) int {
-	lo, hi := h.positions(span)
-	return hi - lo
-}
-
 // ChangedIn reports whether the field changed at least once inside span.
 func (h History) ChangedIn(span timeline.Span) bool {
 	lo := h.search(span.Start)
@@ -98,15 +92,6 @@ func (h History) sameDaysAs(o History) bool {
 		return false
 	}
 	return len(h.days) == 0 || &h.days[0] == &o.days[0] || slices.Equal(h.days, o.days)
-}
-
-// LastBefore returns the most recent change day strictly before day.
-func (h History) LastBefore(day timeline.Day) (timeline.Day, bool) {
-	hi := h.search(day)
-	if hi == 0 {
-		return 0, false
-	}
-	return h.days[hi-1], true
 }
 
 // Validate checks that the day list is strictly increasing.
@@ -262,15 +247,6 @@ func (hs *HistorySet) ByPage() map[PageID][]int {
 	return out
 }
 
-// ByEntity groups history indices by entity.
-func (hs *HistorySet) ByEntity() map[EntityID][]int {
-	out := make(map[EntityID][]int)
-	for i, h := range hs.histories {
-		out[h.Field.Entity] = append(out[h.Field.Entity], i)
-	}
-	return out
-}
-
 // MergeDays returns a new set with additional change days folded in.
 // Existing fields get the union of their days; unknown fields are added
 // (their entities must exist in the cube). The receiver is unmodified.
@@ -321,26 +297,6 @@ func mergeSortedDays(a, b []timeline.Day) []timeline.Day {
 	}
 	for ; j < len(bs); j++ {
 		push(bs[j])
-	}
-	return out
-}
-
-// Restrict returns a new set containing, for every field, only the change
-// days inside span — keeping fields with at least minChanges such days.
-// This implements the paper's per-split eligibility rule ("all fields that
-// have at least five changes within their timeframe").
-func (hs *HistorySet) Restrict(span timeline.Span, minChanges int) *HistorySet {
-	var kept []History
-	for _, h := range hs.histories {
-		days := h.In(span)
-		if len(days) >= minChanges && len(days) > 0 {
-			kept = append(kept, NewHistory(h.Field, days))
-		}
-	}
-	out, err := NewHistorySet(hs.cube, kept)
-	if err != nil {
-		// Restricting a valid set cannot produce an invalid one.
-		panic(fmt.Sprintf("changecube: Restrict produced invalid set: %v", err))
 	}
 	return out
 }

@@ -17,11 +17,11 @@ func TestHistoryQueries(t *testing.T) {
 	if h.Len() != 4 {
 		t.Fatalf("Len = %d", h.Len())
 	}
-	if got := h.CountIn(timeline.NewSpan(3, 11)); got != 3 {
-		t.Fatalf("CountIn([3,11)) = %d, want 3", got)
+	if got := len(h.In(timeline.NewSpan(3, 11))); got != 3 {
+		t.Fatalf("len(In([3,11))) = %d, want 3", got)
 	}
-	if got := h.CountIn(timeline.NewSpan(11, 21)); got != 0 {
-		t.Fatalf("CountIn([11,21)) = %d, want 0", got)
+	if got := len(h.In(timeline.NewSpan(11, 21))); got != 0 {
+		t.Fatalf("len(In([11,21))) = %d, want 0", got)
 	}
 	if !h.ChangedIn(timeline.NewSpan(21, 22)) {
 		t.Fatal("ChangedIn missed day 21")
@@ -31,12 +31,6 @@ func TestHistoryQueries(t *testing.T) {
 	}
 	if got := h.Before(10); len(got) != 2 || got[1] != 7 {
 		t.Fatalf("Before(10) = %v", got)
-	}
-	if d, ok := h.LastBefore(10); !ok || d != 7 {
-		t.Fatalf("LastBefore(10) = %v, %v", d, ok)
-	}
-	if _, ok := h.LastBefore(3); ok {
-		t.Fatal("LastBefore(first day) should be absent")
 	}
 	if got := h.In(timeline.NewSpan(7, 21)); len(got) != 2 || got[0] != 7 || got[1] != 10 {
 		t.Fatalf("In([7,21)) = %v", got)
@@ -80,7 +74,7 @@ func TestHistoryQueriesAgainstBruteForce(t *testing.T) {
 				count++
 			}
 		}
-		if h.CountIn(span) != count || h.ChangedIn(span) != (count > 0) {
+		if len(h.In(span)) != count || h.ChangedIn(span) != (count > 0) {
 			return false
 		}
 		before := 0
@@ -147,10 +141,6 @@ func TestHistorySetGroupings(t *testing.T) {
 	if got := byPage[PageID(london)]; len(got) != 2 {
 		t.Fatalf("London has %d histories, want 2", len(got))
 	}
-	byEntity := hs.ByEntity()
-	if len(byEntity[0]) != 2 || len(byEntity[1]) != 1 {
-		t.Fatalf("ByEntity = %v", byEntity)
-	}
 }
 
 func TestHistorySetRejectsInvalid(t *testing.T) {
@@ -170,24 +160,5 @@ func TestHistorySetRejectsInvalid(t *testing.T) {
 		NewHistory(FieldKey{Entity: 42, Property: prop}, []timeline.Day{1}),
 	}); err == nil {
 		t.Fatal("unknown entity accepted")
-	}
-}
-
-func TestHistorySetRestrict(t *testing.T) {
-	hs := buildHistorySet(t)
-	// Span [5,11) keeps: e2.pop days 5..10 (6 ≥ 5 changes); e1.pop only day 5
-	// (1 change, dropped); e1.area only day 9 (dropped).
-	r := hs.Restrict(timeline.NewSpan(5, 11), 5)
-	if r.Len() != 1 {
-		t.Fatalf("Restrict kept %d fields, want 1", r.Len())
-	}
-	h := r.Histories()[0]
-	if h.Field.Entity != 1 || h.Len() != 6 {
-		t.Fatalf("kept history = %+v", h)
-	}
-	// minChanges=1 keeps everything with at least one change in span.
-	r1 := hs.Restrict(timeline.NewSpan(5, 11), 1)
-	if r1.Len() != 3 {
-		t.Fatalf("Restrict(min 1) kept %d fields, want 3", r1.Len())
 	}
 }

@@ -370,9 +370,6 @@ func (d *Detector) OrEnsemble() predict.Predictor { return d.orEns }
 // OR-ensemble widened with the seasonal predictor.
 func (d *Detector) ExtendedOrEnsemble() predict.Predictor { return d.extOrEns }
 
-// AndEnsemble returns the precision-maximizing conjunction.
-func (d *Detector) AndEnsemble() predict.Predictor { return d.andEns }
-
 // Predictors returns all six predictors in the row order of Table 1: mean
 // baseline, threshold baseline, field correlations, association rules,
 // AND-ensemble, OR-ensemble.

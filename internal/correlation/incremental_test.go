@@ -56,7 +56,7 @@ func referenceTrain(t *testing.T, hs *changecube.HistorySet, span timeline.Span,
 	for _, idxs := range hs.ByPage() {
 		var elig []int
 		for _, i := range idxs {
-			if histories[i].CountIn(span) >= cfg.MinSpanChanges {
+			if len(histories[i].In(span)) >= cfg.MinSpanChanges {
 				elig = append(elig, i)
 			}
 		}

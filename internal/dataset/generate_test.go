@@ -280,8 +280,12 @@ func TestYearlySeriesStructure(t *testing.T) {
 	if !ok {
 		t.Fatal("series template missing")
 	}
-	byTemplate := cube.EntitiesByTemplate()
-	seasons := byTemplate[changecube.TemplateID(seasonID)]
+	var seasons []changecube.EntityID
+	for e := range cube.NumEntities() {
+		if cube.Entity(changecube.EntityID(e)).Template == changecube.TemplateID(seasonID) {
+			seasons = append(seasons, changecube.EntityID(e))
+		}
+	}
 	if len(seasons) < 4 {
 		t.Fatalf("season entities = %d, want a series", len(seasons))
 	}

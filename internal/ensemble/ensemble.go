@@ -124,33 +124,6 @@ func (a And) PredictWindows(b predict.Batch, out []bool) {
 	}
 }
 
-// Vote is one member's verdict in an ensemble decision.
-type Vote struct {
-	Member string `json:"member"`
-	Fired  bool   `json:"fired"`
-}
-
-// Votes returns every member's verdict for the context, in member order.
-// The OR verdict is true iff any vote fired.
-func (o Or) Votes(ctx predict.Context) []Vote {
-	return memberVotes(o.Members, ctx)
-}
-
-// Votes returns every member's verdict for the context, in member order.
-// The AND verdict is true iff the member list is non-empty and every vote
-// fired.
-func (a And) Votes(ctx predict.Context) []Vote {
-	return memberVotes(a.Members, ctx)
-}
-
-func memberVotes(ms []predict.Predictor, ctx predict.Context) []Vote {
-	votes := make([]Vote, len(ms))
-	for i, m := range ms {
-		votes[i] = Vote{Member: m.Name(), Fired: m.Predict(ctx)}
-	}
-	return votes
-}
-
 func memberNames(ms []predict.Predictor) string {
 	names := make([]string, len(ms))
 	for i, m := range ms {

@@ -176,16 +176,6 @@ func (s *Store) Epochs() int {
 	return len(s.records)
 }
 
-// Latest returns the newest record, if any.
-func (s *Store) Latest() (Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.records) == 0 {
-		return Record{}, false
-	}
-	return s.records[len(s.records)-1], true
-}
-
 // syncDir fsyncs a directory so renames and newly created names in it
 // survive a power failure.
 func syncDir(dir string) error {

@@ -306,11 +306,14 @@ func CaseStudy(c *Corpus) (detected int, text string) {
 
 	// The paper's second §5.4 observation: the goals tally itself carries a
 	// truncation typo that editors faithfully incremented for months.
-	goalValues := cube.Query().
-		Entity(cs.Entity).
-		Property("total_goals").
-		Kind(changecube.Update).
-		Values()
+	var goalValues []string
+	cube.Sort()
+	cube.EachChange(func(_ int, ch changecube.Change) bool {
+		if ch.Kind == changecube.Update && ch.Entity == cs.TotalGoals.Entity && ch.Property == cs.TotalGoals.Property {
+			goalValues = append(goalValues, ch.Value)
+		}
+		return true
+	})
 	if values.IsCounter(goalValues, 5, 0.8) {
 		for _, a := range values.DetectCounterAnomalies(goalValues) {
 			if a.Kind == values.TruncationTypo {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -145,6 +146,11 @@ func TestCaseStudyDetectsPlantedStaleness(t *testing.T) {
 	}
 	if !strings.Contains(text, "Handball-Bundesliga") {
 		t.Errorf("case study page missing:\n%s", text)
+	}
+	cs := c.Truth.CaseStudy
+	typo := fmt.Sprintf(" to %d — truncation typo, intended value likely %d\n", cs.TypoValue, cs.TypoIntended)
+	if !strings.Contains(text, "value anomaly: total_goals fell from ") || !strings.Contains(text, typo) {
+		t.Errorf("case study lacks the planted typo %q:\n%s", typo, text)
 	}
 }
 

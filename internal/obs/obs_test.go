@@ -135,7 +135,7 @@ func TestPrometheusRendering(t *testing.T) {
 	r.Gauge("in_flight", nil).Set(2)
 	r.Histogram("latency_seconds", []float64{0.1, 1}, Labels{"route": "/x"}).Observe(0.05)
 
-	text := r.PrometheusText()
+	text := promText(r)
 	for _, want := range []string{
 		"# HELP requests_total Requests served.",
 		"# TYPE requests_total counter",
@@ -165,7 +165,7 @@ func TestPrometheusRendering(t *testing.T) {
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("odd_total", Labels{"v": "a\"b\\c\nd"}).Inc()
-	text := r.PrometheusText()
+	text := promText(r)
 	if !strings.Contains(text, `odd_total{v="a\"b\\c\nd"} 1`) {
 		t.Fatalf("escaping wrong:\n%s", text)
 	}
@@ -218,11 +218,11 @@ func TestRenderDuringConcurrentRegistration(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 500; i++ {
 			r.Counter("churn_total", Labels{"i": string(rune('a' + i%26))}).Inc()
-			r.ObserveStage("churn", time.Microsecond)
+			r.observeStage("churn", time.Microsecond, "")
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		_ = r.PrometheusText()
+		_ = promText(r)
 		_ = r.JSON()
 	}
 	<-done
@@ -232,7 +232,14 @@ func TestSetHelpBeforeRegistration(t *testing.T) {
 	r := NewRegistry()
 	r.SetHelp("later_total", "Arrives before the metric.")
 	r.Counter("later_total", nil).Inc()
-	if !strings.Contains(r.PrometheusText(), "# HELP later_total Arrives before the metric.") {
+	if !strings.Contains(promText(r), "# HELP later_total Arrives before the metric.") {
 		t.Fatal("stashed help lost")
 	}
+}
+
+// promText renders the registry's Prometheus exposition into a string.
+func promText(r *Registry) string {
+	var b strings.Builder
+	_ = r.WritePrometheus(&b)
+	return b.String()
 }

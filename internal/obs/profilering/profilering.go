@@ -75,9 +75,6 @@ func New(capacity int, cooldown time.Duration) *Ring {
 	}
 }
 
-// SetClock injects a clock for tests.
-func (r *Ring) SetClock(now func() time.Time) { r.now = now }
-
 // TryCapture captures a profile of the given kind unless a capture is
 // already running or the cooldown has not elapsed; it reports whether a
 // capture actually happened. CPU captures block for CPUDuration — call
@@ -165,14 +162,6 @@ func (r *Ring) Get(id uint64) (p Profile, found bool) {
 		return !found
 	})
 	return p, found
-}
-
-// Skipped counts TryCapture calls refused by the in-progress guard or
-// the cooldown.
-func (r *Ring) Skipped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.skipped
 }
 
 // Handler serves the ring: GET lists captures as JSON (newest first);

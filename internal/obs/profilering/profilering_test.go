@@ -50,7 +50,7 @@ func TestCPUCapture(t *testing.T) {
 func TestCooldownAndEviction(t *testing.T) {
 	r := New(2, time.Minute)
 	now := time.Unix(1_700_000_000, 0)
-	r.SetClock(func() time.Time { return now })
+	r.now = func() time.Time { return now }
 
 	if ok, _ := r.TryCapture(KindHeap, "first"); !ok {
 		t.Fatalf("first capture refused")
@@ -59,8 +59,8 @@ func TestCooldownAndEviction(t *testing.T) {
 	if ok, _ := r.TryCapture(KindHeap, "too soon"); ok {
 		t.Fatalf("capture inside cooldown accepted")
 	}
-	if r.Skipped() != 1 {
-		t.Fatalf("skipped = %d, want 1", r.Skipped())
+	if r.skipped != 1 {
+		t.Fatalf("skipped = %d, want 1", r.skipped)
 	}
 
 	// Advance past the cooldown twice; the 3rd capture evicts the 1st.
@@ -104,8 +104,8 @@ func TestConcurrentTryCaptureSingleflight(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("%d concurrent captures succeeded, want exactly 1", n)
 	}
-	if r.Skipped() != 7 {
-		t.Fatalf("skipped = %d, want 7", r.Skipped())
+	if r.skipped != 7 {
+		t.Fatalf("skipped = %d, want 7", r.skipped)
 	}
 }
 

@@ -196,25 +196,6 @@ func New(horizonDays int) *Scorer {
 	return s
 }
 
-// SetHorizon replaces the scoring horizon for alerts registered from now
-// on; already-pending alerts keep their deadlines.
-func (s *Scorer) SetHorizon(days int) {
-	if days <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.horizon = int32(days)
-	s.mu.Unlock()
-	obs.Default.Gauge("wikistale_quality_horizon_days", nil).Set(float64(days))
-}
-
-// Horizon returns the configured scoring horizon in days.
-func (s *Scorer) Horizon() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.horizon)
-}
-
 func pendKey(page, prop string) string { return page + "\x00" + prop }
 
 // BeginEpoch registers a freshly swapped epoch's alert set: every alert

@@ -147,8 +147,8 @@ func TestScorerStateRoundTrip(t *testing.T) {
 	if again := restored.MarshalBinary(); !bytes.Equal(state, again) {
 		t.Fatalf("restore → marshal not bit-identical:\n%x\n%x", state, again)
 	}
-	if restored.Horizon() != 30 {
-		t.Fatalf("horizon %d overwritten by Restore; it is configuration", restored.Horizon())
+	if restored.horizon != 30 {
+		t.Fatalf("horizon %d overwritten by Restore; it is configuration", restored.horizon)
 	}
 
 	// The restored pending alerts keep their recorded deadlines: (B, q)

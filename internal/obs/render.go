@@ -31,13 +31,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// PrometheusText renders WritePrometheus into a string.
-func (r *Registry) PrometheusText() string {
-	var b strings.Builder
-	_ = r.WritePrometheus(&b)
-	return b.String()
-}
-
 func writeSeries(w io.Writer, f famView, s *series) error {
 	switch f.kind {
 	case KindCounter:

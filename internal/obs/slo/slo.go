@@ -162,16 +162,6 @@ func NewWithClock(objectives []Objective, windows []time.Duration, policy TripPo
 	return t
 }
 
-// Windows returns the tracker's windows (a copy).
-func (t *Tracker) Windows() []time.Duration {
-	return append([]time.Duration(nil), t.windows...)
-}
-
-// Objectives returns the tracker's objectives (a copy).
-func (t *Tracker) Objectives() []Objective {
-	return append([]Objective(nil), t.objectives...)
-}
-
 // Record classifies one request under every objective and counts it into
 // the current second.
 func (t *Tracker) Record(latency time.Duration, isError bool) {

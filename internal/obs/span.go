@@ -88,15 +88,6 @@ func (s *Span) End() time.Duration {
 	return d
 }
 
-// ObserveStage records a pre-measured stage duration into StageHistogram
-// on the Default registry.
-func ObserveStage(name string, d time.Duration) { Default.ObserveStage(name, d) }
-
-// ObserveStage records a pre-measured stage duration into StageHistogram.
-func (r *Registry) ObserveStage(name string, d time.Duration) {
-	r.observeStage(name, d, "")
-}
-
 func (r *Registry) observeStage(name string, d time.Duration, traceID string) {
 	h := r.Histogram(StageHistogram, DurationBuckets, Labels{"stage": name})
 	if traceID == "" {

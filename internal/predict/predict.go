@@ -65,23 +65,6 @@ func (c Context) FieldChangedIn(field changecube.FieldKey, span timeline.Span) b
 	return h.ChangedIn(span)
 }
 
-// FieldDaysBefore returns field's change days strictly before day, with day
-// clamped to the window end (window start for the target field).
-func (c Context) FieldDaysBefore(field changecube.FieldKey, day timeline.Day) []timeline.Day {
-	limit := c.window.End
-	if field == c.target {
-		limit = c.window.Start
-	}
-	if day > limit {
-		day = limit
-	}
-	h, ok := c.observed.Get(field)
-	if !ok {
-		return nil
-	}
-	return h.Before(day)
-}
-
 // Predictor answers the paper's prediction question for one field and
 // window. Implementations are trained ahead of time; Predict must be safe
 // for concurrent use.

@@ -70,21 +70,6 @@ func TestFieldChangedInUnknownField(t *testing.T) {
 	if ctx.FieldChangedIn(ghost, timeline.NewSpan(0, 10)) {
 		t.Fatal("unknown field reported a change")
 	}
-	if ctx.FieldDaysBefore(ghost, 10) != nil {
-		t.Fatal("unknown field reported days")
-	}
-}
-
-func TestFieldDaysBeforeClamping(t *testing.T) {
-	hs, fa, fb := buildSet(t)
-	w := timeline.Window{Span: timeline.NewSpan(10, 14)}
-	ctx := NewContext(hs, fa, w)
-	if days := ctx.FieldDaysBefore(fb, 100); len(days) != 2 || days[1] != 12 {
-		t.Fatalf("other-field days clamped wrong: %v", days)
-	}
-	if days := ctx.FieldDaysBefore(fa, 100); len(days) != 1 || days[0] != 5 {
-		t.Fatalf("target days clamped wrong: %v", days)
-	}
 }
 
 func TestAccessors(t *testing.T) {

@@ -174,9 +174,6 @@ func extractAnchors(days []timeline.Day, cfg Config) []Anchor {
 // Name implements predict.Predictor.
 func (p *Predictor) Name() string { return "seasonal" }
 
-// Anchors returns the learned anchors for a field.
-func (p *Predictor) Anchors(f changecube.FieldKey) []Anchor { return p.anchors[f] }
-
 // Covers reports whether the field has at least one anchor.
 func (p *Predictor) Covers(f changecube.FieldKey) bool { return len(p.anchors[f]) > 0 }
 

@@ -46,7 +46,7 @@ func TestTrainFindsYearlyAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anchors := p.Anchors(keys[0])
+	anchors := p.anchors[keys[0]]
 	if len(anchors) != 1 {
 		t.Fatalf("anchors = %v, want one", anchors)
 	}
@@ -63,7 +63,7 @@ func TestTrainRejectsIrregularField(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p.Covers(keys[0]) {
-		t.Fatalf("irregular field got anchors: %v", p.Anchors(keys[0]))
+		t.Fatalf("irregular field got anchors: %v", p.anchors[keys[0]])
 	}
 }
 
@@ -107,7 +107,7 @@ func TestWrapAroundAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anchors := p.Anchors(keys[0])
+	anchors := p.anchors[keys[0]]
 	if len(anchors) != 1 {
 		t.Fatalf("wrap-around anchors = %v, want one", anchors)
 	}
@@ -190,7 +190,7 @@ func TestMultipleAnchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anchors := p.Anchors(keys[0])
+	anchors := p.anchors[keys[0]]
 	if len(anchors) != 2 {
 		t.Fatalf("anchors = %v, want two", anchors)
 	}

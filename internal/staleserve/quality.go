@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/wikistale/wikistale/internal/obs/quality"
-	"github.com/wikistale/wikistale/internal/obs/ring"
 )
 
 // Model-quality observability glue: this file renders epochs into the
@@ -22,14 +21,6 @@ import (
 // and GET /debug/quality serves the scorer's report. Call before serving
 // (cmd/staleserve wires it together with the ingest event observer).
 func (s *Server) SetQualityScorer(sc *quality.Scorer) { s.scorer = sc }
-
-// QualityScorer returns the wired scorer (nil when quality scoring is
-// off).
-func (s *Server) QualityScorer() *quality.Scorer { return s.scorer }
-
-// DiffRing returns the epoch-diff ring (always non-nil; /debug/epochdiff
-// serves it).
-func (s *Server) DiffRing() *ring.Ring[quality.EpochDiff] { return s.diffRing }
 
 // buildRuleSets renders one epoch's diffable surface: correlation rules,
 // association rules, and the default-window alert set, all keyed by

@@ -49,20 +49,6 @@ func DefaultTripPolicy() slo.TripPolicy {
 	}
 }
 
-// SetSLOTracker replaces the SLO tracker (tests inject small windows and
-// a permissive trip policy). Call before serving traffic.
-func (s *Server) SetSLOTracker(t *slo.Tracker) { s.slo = t }
-
-// SLOTracker returns the server's SLO tracker.
-func (s *Server) SLOTracker() *slo.Tracker { return s.slo }
-
-// SetProfileRing replaces the triggered-profiling ring (tests shorten the
-// CPU window and the cooldown). Call before serving traffic.
-func (s *Server) SetProfileRing(r *profilering.Ring) { s.profiles = r }
-
-// ProfileRing returns the triggered-profiling ring.
-func (s *Server) ProfileRing() *profilering.Ring { return s.profiles }
-
 // SetLagSource wires the live ingest feed lag (seconds) into /debug/slo
 // and /statusz — the freshness context next to the serving burn rates
 // (typically ingest.Manager.FeedLag).

@@ -29,15 +29,15 @@ func newSLOTestServer(t *testing.T) *Server {
 		t.Fatal(err)
 	}
 	s := newServer(det)
-	s.SetSLOTracker(slo.New(DefaultSLOs(), DefaultSLOWindows(), slo.TripPolicy{
+	s.slo = slo.New(DefaultSLOs(), DefaultSLOWindows(), slo.TripPolicy{
 		ShortWindow:   5 * time.Minute,
 		LongWindow:    time.Hour,
 		BurnThreshold: 10,
 		MinEvents:     20,
-	}))
+	})
 	ring := profilering.New(4, 0)
 	ring.CPUDuration = 50 * time.Millisecond
-	s.SetProfileRing(ring)
+	s.profiles = ring
 	return s
 }
 
@@ -50,7 +50,7 @@ func TestForcedLatencyTripsProfileCapture(t *testing.T) {
 	// Forced latency injection: 30 requests at 50 ms against a 5 ms
 	// objective — 100% bad, burning 100x budget on both windows.
 	for i := 0; i < 30; i++ {
-		s.SLOTracker().Record(50*time.Millisecond, false)
+		s.slo.Record(50*time.Millisecond, false)
 	}
 	s.checkSLONow()
 
@@ -58,7 +58,7 @@ func TestForcedLatencyTripsProfileCapture(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var profiles []profilering.Profile
 	for time.Now().Before(deadline) {
-		if profiles = s.ProfileRing().Profiles(); len(profiles) > 0 {
+		if profiles = s.profiles.Profiles(); len(profiles) > 0 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -75,10 +75,10 @@ func TestForcedLatencyTripsProfileCapture(t *testing.T) {
 
 	// The trip is edge-triggered: a second check during the same incident
 	// must not schedule another capture.
-	before := len(s.ProfileRing().Profiles())
+	before := len(s.profiles.Profiles())
 	s.checkSLONow()
 	time.Sleep(100 * time.Millisecond)
-	if after := len(s.ProfileRing().Profiles()); after != before {
+	if after := len(s.profiles.Profiles()); after != before {
 		t.Fatalf("sustained incident captured again: %d -> %d profiles", before, after)
 	}
 
@@ -100,12 +100,12 @@ func TestForcedLatencyTripsProfileCapture(t *testing.T) {
 func TestErrorBurnCapturesHeapProfile(t *testing.T) {
 	s := newSLOTestServer(t)
 	for i := 0; i < 30; i++ {
-		s.SLOTracker().Record(time.Microsecond, true) // fast 5xx
+		s.slo.Record(time.Microsecond, true) // fast 5xx
 	}
 	s.checkSLONow()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		ps := s.ProfileRing().Profiles()
+		ps := s.profiles.Profiles()
 		// Both objectives trip (errors are bad under both); a heap
 		// capture must be among them.
 		for _, p := range ps {
@@ -115,7 +115,7 @@ func TestErrorBurnCapturesHeapProfile(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("availability burn captured no heap profile: %+v", s.ProfileRing().Profiles())
+	t.Fatalf("availability burn captured no heap profile: %+v", s.profiles.Profiles())
 }
 
 // doReq runs one request through the full handler (middleware included)
@@ -140,7 +140,7 @@ func TestDebugSLOEndpoint(t *testing.T) {
 	s := newSLOTestServer(t)
 	s.SetLagSource(func() float64 { return 12.5 })
 	for i := 0; i < 10; i++ {
-		s.SLOTracker().Record(time.Millisecond, false)
+		s.slo.Record(time.Millisecond, false)
 	}
 
 	var body struct {
@@ -185,7 +185,7 @@ func TestMiddlewareRecordsDataPlaneOnly(t *testing.T) {
 	doReq(t, s, "/metrics")
 	doReq(t, s, "/statusz")
 
-	rep := s.SLOTracker().Snapshot()
+	rep := s.slo.Snapshot()
 	if got := rep.Objectives[0].Windows[0].Total; got != 1 {
 		t.Fatalf("SLO saw %d requests, want exactly the /v1/stats one", got)
 	}
@@ -206,7 +206,7 @@ func TestColdStart503DoesNotBurnSLO(t *testing.T) {
 			t.Fatalf("cold /v1/stale = %d, want 503", rr.Code)
 		}
 	}
-	rep := s.SLOTracker().Snapshot()
+	rep := s.slo.Snapshot()
 	for _, or := range rep.Objectives {
 		for _, ws := range or.Windows {
 			if ws.Total != 0 {
@@ -221,7 +221,7 @@ func TestColdStart503DoesNotBurnSLO(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("warm /v1/stale = %d", rr.Code)
 	}
-	rep = s.SLOTracker().Snapshot()
+	rep = s.slo.Snapshot()
 	if got := rep.Objectives[0].Windows[0].Total; got != 1 {
 		t.Fatalf("warm request not recorded: total = %d, want 1", got)
 	}

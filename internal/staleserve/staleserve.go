@@ -164,7 +164,7 @@ type Server struct {
 // feed. Traces record into
 // trace.Default and logs go to slog.Default() — binaries configure both
 // before constructing the server (olog.Setup); tests may override with
-// SetTraceRecorder and SetLogger.
+// SetLogger.
 func NewLive() *Server {
 	s := &Server{
 		mux:      http.NewServeMux(),
@@ -229,10 +229,6 @@ func NewLive() *Server {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
 }
-
-// SetTraceRecorder replaces the recorder request traces are published to
-// (tests inject private recorders; the default is trace.Default).
-func (s *Server) SetTraceRecorder(rec *trace.Recorder) { s.tracer = rec }
 
 // SetLogger replaces the request logger (the default is the process
 // logger at construction time).

@@ -40,7 +40,7 @@ func TestTracePropagationSingleflight(t *testing.T) {
 	testServer(t) // trains the shared detector once
 	rec := trace.New(16)
 	s := newServer(sharedServer.epoch().det)
-	s.SetTraceRecorder(rec)
+	s.tracer = rec
 	s.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

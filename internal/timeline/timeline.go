@@ -74,23 +74,6 @@ func (s Span) Contains(d Day) bool { return d >= s.Start && d < s.End }
 // Overlaps reports whether the two half-open spans share at least one day.
 func (s Span) Overlaps(o Span) bool { return s.Start < o.End && o.Start < s.End }
 
-// Intersect returns the overlap of the two spans; empty spans are returned
-// as a zero-length span anchored at the later start.
-func (s Span) Intersect(o Span) Span {
-	start := s.Start
-	if o.Start > start {
-		start = o.Start
-	}
-	end := s.End
-	if o.End < end {
-		end = o.End
-	}
-	if end < start {
-		end = start
-	}
-	return Span{Start: start, End: end}
-}
-
 // String formats the span as "[start, end)".
 func (s Span) String() string {
 	return fmt.Sprintf("[%s, %s)", s.Start, s.End)

@@ -6,7 +6,6 @@ package wikitext
 
 import (
 	"strings"
-	"unicode"
 )
 
 // Infobox is one parsed infobox template invocation.
@@ -373,13 +372,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-// TitleCase returns the name with its first rune upper-cased, used when
-// rendering normalized template names back to display form.
-func TitleCase(s string) string {
-	for i, r := range s {
-		return string(unicode.ToUpper(r)) + s[i+len(string(r)):]
-	}
-	return s
 }

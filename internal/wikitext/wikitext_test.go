@@ -264,15 +264,3 @@ func TestParserNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTitleCase(t *testing.T) {
-	if TitleCase("infobox settlement") != "Infobox settlement" {
-		t.Fatal("TitleCase failed")
-	}
-	if TitleCase("") != "" {
-		t.Fatal("TitleCase empty failed")
-	}
-	if TitleCase("école") != "École" {
-		t.Fatal("TitleCase multibyte failed")
-	}
-}
