@@ -226,13 +226,23 @@ func BenchmarkMineApriori(b *testing.B) {
 }
 
 // BenchmarkDetectStale measures the deployment operation: one full scan
-// for stale fields over a weekly window.
+// for stale fields over a weekly window at the end of the data, and the
+// past-day questions of an audit, with asOf cycling over the span's last
+// 365 days for each of the paper's window sizes.
 func BenchmarkDetectStale(b *testing.B) {
 	c := corpus(b)
-	asOf := c.Filtered.Span().End
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Detector.DetectStale(asOf, 7)
+	end := c.Filtered.Span().End
+	b.Run("end/window=7", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Detector.DetectStale(end, 7)
+		}
+	})
+	for _, window := range timeline.StandardSizes {
+		b.Run(fmt.Sprintf("audit/window=%d", window), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.Detector.DetectStale(end-365+timeline.Day(i%365), window)
+			}
+		})
 	}
 }
 

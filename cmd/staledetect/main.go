@@ -27,7 +27,7 @@ func main() {
 	var (
 		in     = flag.String("i", "corpus.wcc", "input binary change cube")
 		asOf   = flag.String("asof", "", "detection date (YYYY-MM-DD); default: end of the data")
-		window = flag.Int("window", 7, "staleness window in days (1, 7, 30 or 365)")
+		window = flag.Int("window", 7, "staleness window in days, 1 to 3650 (the paper uses 1, 7, 30 or 365)")
 		stats  = flag.Bool("stats", false, "print filter-funnel and rule statistics")
 		timing = flag.Bool("timing", false, "print the training stage-timing report")
 		limit  = flag.Int("limit", 50, "maximum alerts to print (0 = all)")
@@ -38,6 +38,9 @@ func main() {
 	flag.Parse()
 
 	if _, err := olog.Setup(os.Stderr, *logLevel, *logFormat); err != nil {
+		log.Fatal(err)
+	}
+	if err := checkWindow(*window); err != nil {
 		log.Fatal(err)
 	}
 
@@ -89,4 +92,13 @@ func main() {
 		prop := cube.Properties.Name(int32(a.Field.Property))
 		fmt.Printf("  %s | %s: %s (%v)\n", page, prop, a.Explanation, a.Sources)
 	}
+}
+
+// checkWindow rejects window sizes outside [1, 3650] days, the range
+// staleserve accepts for its window parameter.
+func checkWindow(days int) error {
+	if days < 1 || days > 3650 {
+		return fmt.Errorf("bad -window %d: want days in [1, 3650]", days)
+	}
+	return nil
 }

@@ -9,6 +9,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 	"time"
 
@@ -389,11 +391,6 @@ func (d *Detector) EvaluateTest(opts eval.Options) (*eval.Report, error) {
 	return eval.Evaluate(d.histories, d.splits.Test, d.Predictors(), opts)
 }
 
-// Evaluate runs the evaluation protocol on an arbitrary split.
-func (d *Detector) Evaluate(split timeline.Span, predictors []predict.Predictor, opts eval.Options) (*eval.Report, error) {
-	return eval.Evaluate(d.histories, split, predictors, opts)
-}
-
 // StaleAlert is one deployment finding: a field that should have changed
 // within the window but did not — a candidate for the paper's "this value
 // might be out of date" marker (Figure 1).
@@ -430,64 +427,102 @@ func (d *Detector) DetectStaleCtx(ctx context.Context, asOf timeline.Day, window
 // field), which is how a freshly created infobox gets coverage from day
 // one. Alerts come in (entity, property) order.
 //
-// The scan walks the evidence index compiled when the detector was built:
-// one ChangedIn per target on its own history, and only for a target that
-// did not change one per partner and antecedent. The alerts equal those of
-// asking both paper predictors' Explain about every unchanged history and
-// every history-less consequent (TestDetectStaleMatchesReference).
+// The scan reads the evidence index compiled when the detector was built.
+// It walks only the histories that changed in the window, found through
+// the index's days, marks each as changed and its reverse targets as
+// candidates. A target with no changed evidence cannot alert, so only the
+// candidates are visited, in (entity, property) order: those whose own
+// history did not change are scored from the changed marks. The alerts
+// equal those of asking both paper predictors' Explain about every
+// unchanged history and every history-less consequent
+// (TestDetectStaleMatchesReference).
 func (d *Detector) DetectStale(asOf timeline.Day, windowSize int) []StaleAlert {
 	if windowSize <= 0 {
 		return nil
 	}
-	w := timeline.Window{Span: timeline.NewSpan(asOf-timeline.Day(windowSize), asOf)}
-	histories := d.histories.Histories()
+	w := staleWindow(asOf, windowSize)
 	ev := &d.evidence
+	inWindow := ev.changedIn(w.Span)
+	if len(inWindow) == 0 {
+		return nil
+	}
+	changed := make(bitset, (d.histories.Len()+63)/64)
+	candidates := make(bitset, (len(ev.targets)+63)/64)
+	for _, h := range inWindow {
+		if !changed.has(h) {
+			changed.set(h)
+			for _, t := range ev.reverseOf(h) {
+				candidates.set(t)
+			}
+		}
+	}
 	var alerts []StaleAlert
-	var partnersStart, antesStart int32
-	for _, t := range ev.targets {
-		partners := ev.partners[partnersStart:t.partnersEnd]
-		antes := ev.antes[antesStart:t.antesEnd]
-		partnersStart, antesStart = t.partnersEnd, t.antesEnd
-		if t.history >= 0 && histories[t.history].ChangedIn(w.Span) {
-			continue // the field was updated; nothing is stale
-		}
-		var sources []string
-		explanation := ""
-		var first int32
-		fired := 0
-		for _, i := range partners {
-			if histories[i].ChangedIn(w.Span) {
-				if fired == 0 {
-					first = i
-				}
-				fired++
+	for i, word := range candidates {
+		for ; word != 0; word &= word - 1 {
+			if a, ok := d.alert(int32(i*64+bits.TrailingZeros64(word)), changed, w); ok {
+				alerts = append(alerts, a)
 			}
 		}
-		if fired > 0 {
-			sources = append(sources, d.fieldCorr.Name())
-			explanation = d.explainCorrelation(histories[first].Field.Property, fired)
-		}
-		for _, i := range antes {
-			if histories[i].ChangedIn(w.Span) {
-				sources = append(sources, d.assocRules.Name())
-				if explanation != "" {
-					explanation += "; "
-				}
-				explanation += d.explainRule(t.field, histories[i].Field.Property)
-				break // the explanation names the first antecedent only
-			}
-		}
-		if len(sources) == 0 {
-			continue
-		}
-		alerts = append(alerts, StaleAlert{
-			Field:       t.field,
-			Window:      w,
-			Sources:     sources,
-			Explanation: explanation,
-		})
 	}
 	return alerts
+}
+
+// alert scores evidence target ti against the histories marked changed in
+// window w: no alert when the target's own history changed or none of its
+// evidence did.
+func (d *Detector) alert(ti int32, changed bitset, w timeline.Window) (StaleAlert, bool) {
+	t := d.evidence.targets[ti]
+	if t.history >= 0 && changed.has(t.history) {
+		return StaleAlert{}, false // the field was updated; nothing is stale
+	}
+	histories := d.histories.Histories()
+	partners, antes := d.evidence.evidenceOf(ti)
+	var sources []string
+	explanation := ""
+	var first int32
+	fired := 0
+	for _, i := range partners {
+		if changed.has(i) {
+			if fired == 0 {
+				first = i
+			}
+			fired++
+		}
+	}
+	if fired > 0 {
+		sources = append(sources, d.fieldCorr.Name())
+		explanation = d.explainCorrelation(histories[first].Field.Property, fired)
+	}
+	for _, i := range antes {
+		if changed.has(i) {
+			sources = append(sources, d.assocRules.Name())
+			if explanation != "" {
+				explanation += "; "
+			}
+			explanation += d.explainRule(t.field, histories[i].Field.Property)
+			break // the explanation names the first antecedent only
+		}
+	}
+	if len(sources) == 0 {
+		return StaleAlert{}, false
+	}
+	return StaleAlert{
+		Field:       t.field,
+		Window:      w,
+		Sources:     sources,
+		Explanation: explanation,
+	}, true
+}
+
+// staleWindow is the window [asOf-windowSize, asOf) that DetectStale and
+// Explain judge. The start is computed in int64 and clamped to the Day
+// range, so a window longer than the range reaches back to its first day
+// instead of wrapping around; a non-positive size gives the empty window
+// ending at asOf.
+func staleWindow(asOf timeline.Day, windowSize int) timeline.Window {
+	size := min(max(int64(windowSize), 0), 1<<32) // 1<<32 days cover the Day range
+	start := max(int64(asOf)-size, math.MinInt32)
+	return timeline.Window{Span: timeline.NewSpan(timeline.Day(start), asOf)}
 }
 
 // HistorylessConsequents returns every field an association rule covers on

@@ -319,7 +319,7 @@ func TestExtendedEnsemble(t *testing.T) {
 	if ext.Name() != "extended OR-ensemble" {
 		t.Fatalf("name = %q", ext.Name())
 	}
-	report, err := det.Evaluate(det.Splits().Test,
+	report, err := eval.Evaluate(det.Histories(), det.Splits().Test,
 		[]predict.Predictor{det.OrEnsemble(), ext, det.Seasonal()},
 		eval.Options{Sizes: []int{30}})
 	if err != nil {
@@ -336,7 +336,7 @@ func TestExtendedEnsemble(t *testing.T) {
 		t.Error("extended ensemble predicted less than a member")
 	}
 	// The seasonal predictor must stay silent at daily granularity.
-	daily, err := det.Evaluate(det.Splits().Test,
+	daily, err := eval.Evaluate(det.Histories(), det.Splits().Test,
 		[]predict.Predictor{det.Seasonal()}, eval.Options{Sizes: []int{1}})
 	if err != nil {
 		t.Fatal(err)

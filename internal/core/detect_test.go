@@ -1,12 +1,15 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
+	"github.com/wikistale/wikistale/internal/assocrules"
 	"github.com/wikistale/wikistale/internal/changecube"
+	"github.com/wikistale/wikistale/internal/correlation"
 	"github.com/wikistale/wikistale/internal/predict"
 	"github.com/wikistale/wikistale/internal/timeline"
 )
@@ -21,7 +24,7 @@ func detectStaleReference(d *Detector, asOf timeline.Day, windowSize int) []Stal
 	if windowSize <= 0 {
 		return nil
 	}
-	w := timeline.Window{Span: timeline.NewSpan(asOf-timeline.Day(windowSize), asOf)}
+	w := staleWindow(asOf, windowSize)
 	var alerts []StaleAlert
 	scan := func(field changecube.FieldKey) {
 		ctx := predict.NewContext(d.histories, field, w)
@@ -108,9 +111,11 @@ func historylessReference(d *Detector) []changecube.FieldKey {
 
 // TestDetectStaleMatchesReference is the evidence index's correctness
 // contract: DetectStale returns alerts reflect.DeepEqual to the map-walk
-// reference for random (asOf, window) keys before, inside and past the
-// data span, and after an Ingest rebuilt the index — including one that
-// gives a history-less consequent its first history.
+// reference for (asOf, window) keys before, on, inside and past the data
+// span and the index's first and last day, with random windows of 1 to
+// 3650 days. It holds after an Ingest rebuilt the index (one that gives a
+// history-less consequent its first history, and one that adds days far
+// outside the index's range) and for a detector without evidence.
 func TestDetectStaleMatchesReference(t *testing.T) {
 	det, _ := detector(t)
 	if len(det.HistorylessConsequents()) == 0 {
@@ -121,8 +126,28 @@ func TestDetectStaleMatchesReference(t *testing.T) {
 	if err := ingested.Ingest(randomBatch(rng, ingested, 400)); err != nil {
 		t.Fatal(err)
 	}
+	// Days about a year before the data and 1<<30 days after it: the
+	// index must not be sized by the day range.
+	outside := reload(t, det)
+	batch := randomBatch(rng, outside, 200)
+	data := det.Histories().Span()
+	for i := range batch {
+		day := data.Start - 400 + timeline.Day(rng.Intn(60))
+		if i%2 == 1 {
+			day = data.End + 1<<30 - timeline.Day(rng.Intn(60))
+		}
+		batch[i].Time = day.Unix()
+	}
+	if err := outside.Ingest(batch); err != nil {
+		t.Fatal(err)
+	}
+	if days := outside.evidence.days; days[0] >= det.evidence.days[0] || days[len(days)-1] < 1<<30 {
+		t.Fatalf("ingested days span [%v, %v]; the batch did not reach outside the index", days[0], days[len(days)-1])
+	}
+	empty := *det
+	empty.fieldCorr, empty.assocRules = correlation.FromRules(nil), assocrules.FromRules(nil)
+	empty.evidence = compileEvidence(empty.histories, empty.fieldCorr, empty.assocRules)
 
-	span := det.Histories().Span()
 	windows := []int{1, 7, 30, 365, 3650}
 	var flagged, historyless, both int
 	for _, tc := range []struct {
@@ -131,6 +156,8 @@ func TestDetectStaleMatchesReference(t *testing.T) {
 	}{
 		{"trained", det},
 		{"ingested", ingested},
+		{"outside", outside},
+		{"no evidence", &empty},
 	} {
 		noHistory := make(map[changecube.FieldKey]bool)
 		for _, f := range historylessReference(tc.d) {
@@ -154,20 +181,67 @@ func TestDetectStaleMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		span := tc.d.Histories().Span()
+		edges := []timeline.Day{span.Start - 1, span.End, span.End + 400}
+		days := tc.d.evidence.days
+		if len(days) > 0 {
+			first, last := days[0], days[len(days)-1]
+			edges = append(edges, first-1, first, first+1, last-1, last, last+1)
+		} else if tc.d != &empty {
+			t.Fatalf("%s: empty day index", tc.name)
+		}
 		for _, window := range append(windows, 0, -1) {
-			check(span.Start-1, window)
 			check(span.Start+timeline.Day(window), window)
-			check(span.End, window)
-			check(span.End+400, window)
+			for _, asOf := range edges {
+				check(asOf, window)
+			}
 		}
 		for i := 0; i < 60; i++ {
-			asOf := span.Start - 200 + timeline.Day(rng.Intn(span.Len()+600))
-			check(asOf, windows[rng.Intn(len(windows))])
+			asOf := span.Start - 200 + timeline.Day(rng.Intn(min(span.Len(), 5000)+600))
+			if len(days) > 0 && i%2 == 1 {
+				asOf = days[rng.Intn(len(days))] + timeline.Day(rng.Intn(3651))
+			}
+			check(asOf, 1+rng.Intn(3650))
 		}
+	}
+	if len(empty.evidence.targets) != 0 {
+		t.Fatalf("a detector without rules has %d evidence targets", len(empty.evidence.targets))
 	}
 	if flagged == 0 || historyless == 0 || both == 0 {
 		t.Fatalf("reference flagged %d alerts, %d on history-less fields, %d from both predictors; "+
 			"the keys do not exercise every path", flagged, historyless, both)
+	}
+}
+
+// TestStaleWindowClamps: a window longer than the Day range reaches back
+// to the range's first day instead of wrapping around, so 1<<32+7 days is
+// not a 7-day window, in DetectStale and Explain alike.
+func TestStaleWindowClamps(t *testing.T) {
+	det, _ := detector(t)
+	asOf := det.Histories().Span().End
+	for _, window := range []int{1<<32 + 7, math.MaxInt} {
+		want := timeline.Window{Span: timeline.NewSpan(math.MinInt32, asOf)}
+		if got := staleWindow(asOf, window); got != want {
+			t.Fatalf("staleWindow(%v, %d) = %v, want %v", asOf, window, got, want)
+		}
+		alerts := det.DetectStale(asOf, window)
+		if len(alerts) == 0 {
+			t.Fatalf("DetectStale(%v, %d): no alerts; the test checks nothing", asOf, window)
+		}
+		if !reflect.DeepEqual(alerts, detectStaleReference(det, asOf, window)) {
+			t.Fatalf("DetectStale(%v, %d) differs from the reference", asOf, window)
+		}
+		for _, a := range alerts {
+			if a.Window != want {
+				t.Fatalf("DetectStale(%v, %d): alert window %v, want %v", asOf, window, a.Window, want)
+			}
+		}
+		if ex := det.Explain(alerts[0].Field, asOf, window); ex.Window != want || !ex.Stale {
+			t.Fatalf("Explain(%v, %d): window %v stale %v, want %v and stale", asOf, window, ex.Window, ex.Stale, want)
+		}
+	}
+	if got := staleWindow(math.MinInt32+3, 7).Start; got != math.MinInt32 {
+		t.Fatalf("window start %d before the Day range", got)
 	}
 }
 

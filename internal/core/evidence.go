@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"github.com/wikistale/wikistale/internal/assocrules"
 	"github.com/wikistale/wikistale/internal/changecube"
 	"github.com/wikistale/wikistale/internal/correlation"
+	"github.com/wikistale/wikistale/internal/timeline"
 )
 
 // evidenceIndex is the OR-ensemble's rule evidence compiled against one
@@ -27,6 +29,21 @@ type evidenceIndex struct {
 	antes    []int32
 	// historyless is HistorylessConsequents.
 	historyless []changecube.FieldKey
+
+	// The day index holds every change day of every history a target
+	// references (its own, its partners, its antecedents), grouped by
+	// day. days lists the distinct days in ascending order; day k owns
+	// dayHistories[dayEnds[k-1]:dayEnds[k]], the histories that changed
+	// on it, in ascending order. Its size follows the referenced change
+	// days, never the day range.
+	days         []timeline.Day
+	dayEnds      []int32
+	dayHistories []int32
+	// reverse lists, per history, the targets that name it as a partner
+	// or an antecedent, in ascending target order: history h owns
+	// reverse[reverseEnds[h-1]:reverseEnds[h]].
+	reverseEnds []int32
+	reverse     []int32
 }
 
 // evidenceTarget is one field of the index.
@@ -104,5 +121,149 @@ func compileEvidence(hs *changecube.HistorySet, corr *correlation.Predictor, rul
 		}
 		start = end
 	}
+	ev.indexDays(histories)
 	return ev
 }
+
+// indexDays builds the day index and the reverse lists from the targets.
+func (ev *evidenceIndex) indexDays(histories []changecube.History) {
+	// Reverse lists: count per history, turn the counts into start
+	// offsets, then place the targets in ascending order; each cursor
+	// ends at its history's end offset.
+	referenced := make([]bool, len(histories))
+	cursor := make([]int32, len(histories))
+	ev.forEachReference(func(_ int32, h int32) { cursor[h]++ })
+	var sum int32
+	for h, n := range cursor {
+		cursor[h] = sum
+		sum += n
+	}
+	ev.reverse = make([]int32, sum)
+	ev.forEachReference(func(t, h int32) {
+		ev.reverse[cursor[h]] = t
+		cursor[h]++
+		referenced[h] = true
+	})
+	ev.reverseEnds = cursor
+
+	// Day index: the (day, history) pairs of the referenced histories, in
+	// history order, sorted by day with a stable radix sort on the offset
+	// from the first day, so each day's histories stay ascending; then
+	// cut into runs of one day.
+	for _, t := range ev.targets {
+		if t.history >= 0 {
+			referenced[t.history] = true
+		}
+	}
+	total, first := 0, timeline.Day(math.MaxInt32)
+	for h, ok := range referenced {
+		if ok {
+			total += histories[h].Len()
+			first = min(first, histories[h].Days()[0])
+		}
+	}
+	offsets := make([]uint32, 0, total)
+	ids := make([]int32, 0, total)
+	for h, ok := range referenced {
+		if ok {
+			for _, d := range histories[h].Days() {
+				offsets = append(offsets, uint32(d)-uint32(first)) // exact: two Days differ by less than 1<<32
+				ids = append(ids, int32(h))
+			}
+		}
+	}
+	offsets, ids = radixSort(offsets, ids)
+	ev.dayHistories = ids
+	for i, off := range offsets {
+		if i+1 == len(offsets) || off != offsets[i+1] {
+			ev.days = append(ev.days, timeline.Day(uint32(first)+off))
+			ev.dayEnds = append(ev.dayEnds, int32(i+1))
+		}
+	}
+}
+
+// radixSort sorts keys ascending, one byte per pass and stably, and
+// permutes ids alike. It makes only as many passes as the largest key has
+// bytes.
+func radixSort(keys []uint32, ids []int32) ([]uint32, []int32) {
+	var largest uint32
+	for _, k := range keys {
+		largest = max(largest, k)
+	}
+	keysTo := make([]uint32, len(keys))
+	idsTo := make([]int32, len(ids))
+	for shift := 0; shift < 32 && largest>>shift != 0; shift += 8 {
+		var next [256]int
+		for _, k := range keys {
+			next[k>>shift&0xff]++
+		}
+		sum := 0
+		for b, n := range next {
+			next[b] = sum
+			sum += n
+		}
+		for i, k := range keys {
+			b := k >> shift & 0xff
+			keysTo[next[b]], idsTo[next[b]] = k, ids[i]
+			next[b]++
+		}
+		keys, keysTo = keysTo, keys
+		ids, idsTo = idsTo, ids
+	}
+	return keys, ids
+}
+
+// forEachReference calls fn(target, history) for every partner and
+// antecedent entry, targets in ascending order.
+func (ev *evidenceIndex) forEachReference(fn func(t, h int32)) {
+	for i := range ev.targets {
+		partners, antes := ev.evidenceOf(int32(i))
+		for _, h := range partners {
+			fn(int32(i), h)
+		}
+		for _, h := range antes {
+			fn(int32(i), h)
+		}
+	}
+}
+
+// evidenceOf returns target ti's partner and antecedent histories.
+func (ev *evidenceIndex) evidenceOf(ti int32) (partners, antes []int32) {
+	var partnersStart, antesStart int32
+	if ti > 0 {
+		partnersStart, antesStart = ev.targets[ti-1].partnersEnd, ev.targets[ti-1].antesEnd
+	}
+	t := ev.targets[ti]
+	return ev.partners[partnersStart:t.partnersEnd], ev.antes[antesStart:t.antesEnd]
+}
+
+// changedIn returns the referenced histories with a change day inside
+// span, once per such day.
+func (ev *evidenceIndex) changedIn(span timeline.Span) []int32 {
+	lo, _ := slices.BinarySearch(ev.days, span.Start)
+	hi, _ := slices.BinarySearch(ev.days, span.End)
+	if lo == hi {
+		return nil
+	}
+	var from int32
+	if lo > 0 {
+		from = ev.dayEnds[lo-1]
+	}
+	return ev.dayHistories[from:ev.dayEnds[hi-1]]
+}
+
+// reverseOf returns the targets that name history h as a partner or an
+// antecedent.
+func (ev *evidenceIndex) reverseOf(h int32) []int32 {
+	var from int32
+	if h > 0 {
+		from = ev.reverseEnds[h-1]
+	}
+	return ev.reverse[from:ev.reverseEnds[h]]
+}
+
+// bitset is a fixed-size set of indexes.
+type bitset []uint64
+
+func (b bitset) set(i int32)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(i&63)) != 0 }

@@ -73,7 +73,7 @@ type Explanation struct {
 // field DetectStale(asOf, windowSize) reports, Explain returns Stale=true
 // with non-empty evidence, and for any field it does not, Stale=false.
 func (d *Detector) Explain(field changecube.FieldKey, asOf timeline.Day, windowSize int) Explanation {
-	w := timeline.Window{Span: timeline.NewSpan(asOf-timeline.Day(windowSize), asOf)}
+	w := staleWindow(asOf, windowSize)
 	ex := Explanation{Field: field, Window: w}
 	if windowSize <= 0 {
 		return ex
